@@ -50,12 +50,17 @@ identical to the slow path (the fast path already is):
 
 The compiled artifact is cached on the :class:`FunctionImage` next to
 the decode cache, so every machine (and every sweep cell or service
-worker touching that image) shares one translation.  Any failure to
-translate falls back to the decoded fast path for that image alone.
+worker touching that image) shares one translation.  Translations are
+also shared across images through a content-keyed cache (``_ARTIFACTS``)
+that holds only the generated function and its ``_META`` fault map, never
+an image: the bail path finds the running image through the machine.
+Any failure to translate falls back to the decoded fast path for that
+image alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -95,19 +100,17 @@ __all__ = ["PyCompiledFunction", "compile_decoded"]
 
 @dataclass
 class PyCompiledFunction:
-    """Compiled artifact for one function image.
+    """Compiled artifact for one function's decoded content.
 
     ``fn(machine, frame)`` executes one activation and returns the
     function's return value, raising fully annotated
-    :class:`MachineFault` on faulting runs.  ``source`` is kept for
-    inspection (``REPRO_PYCOMPILE_DUMP=1`` prints it at compile time).
+    :class:`MachineFault` on faulting runs.  The artifact references no
+    image, so it may be shared by every content-equal image.  The source
+    is not kept; ``REPRO_PYCOMPILE_DUMP=1`` prints it at compile time.
     """
 
     name: str
     fn: Callable
-    source: str
-    blocks: int = 0
-    arms: int = 0
 
 
 _REG_IN_ERROR = re.compile(r"'(r\d+)'")
@@ -159,8 +162,7 @@ def _reg_of(err: BaseException) -> Optional[int]:
 
 def _bail(
     machine,
-    image,
-    decoded,
+    name,
     frame,
     pc,
     cycles,
@@ -174,7 +176,9 @@ def _bail(
 
     Called when a segment's cycle pre-check says the budget would trip
     inside it: the activation is guaranteed to fault, and the fast path
-    is the authority on *which* instruction faults first.  Registers
+    is the authority on *which* instruction faults first.  The running
+    image is looked up by ``name`` in the machine's program, as generated
+    call sites do, so the shared artifact pins no image.  Registers
     (and promoted frame slots, mapped back through ``slot_names``) move
     from Python locals into the frame; pending counter deltas move into
     ``frame.counts``, where the fast path accumulates and flushes them.
@@ -198,8 +202,11 @@ def _bail(
     counts[0] += loads
     counts[1] += stores
     counts[2] += copies
+    image = machine.program.functions[name]
     try:
-        return machine._dispatch_fast(image, decoded, frame, pc=pc, cycles=cycles)
+        return machine._dispatch_fast(
+            image, image._decoded, frame, pc=pc, cycles=cycles
+        )
     except MachineFault as fault:
         raise _Bailout(fault) from None
 
@@ -494,7 +501,7 @@ class _Emitter:
         self.emit(depth, f"if _cycles + {seg_len} > _limit:")
         self.emit(
             depth + 1,
-            f"return _bail(machine, _IMAGE, _DECODED, frame, {pc}, "
+            f"return _bail(machine, _NAME, frame, {pc}, "
             f"_cycles, {ld}, {st}, {cp}, locals(), _SLOT_NAMES)",
         )
 
@@ -803,42 +810,26 @@ def _safe_ident(name: str) -> str:
 #: frequently allocate to byte-identical code across cells; translating
 #: each distinct (name, code, pc_map, regs) once is then enough, because
 #: the generated source depends on nothing else (the executing machine
-#: and frame are call arguments, and the ``_IMAGE``/``_DECODED`` bindings
-#: the bail path closes over are content-equal stand-ins).  Bounded FIFO
-#: so a long-lived service daemon cannot grow it without limit.
-_ARTIFACTS: Dict[tuple, "PyCompiledFunction"] = {}
+#: and frame are call arguments, and the bail path finds the running
+#: image through the machine).  The key is a fixed-size digest of that
+#: content's ``repr``, which tells ``7`` from ``7.0`` and ``0.0`` from
+#: ``-0.0`` where tuple equality does not.  Bounded FIFO so a long-lived
+#: service daemon cannot grow it without limit.
+_ARTIFACTS: Dict[bytes, "PyCompiledFunction"] = {}
 _ARTIFACTS_MAX = 4096
 
 
-def _freeze_instr(ins: tuple) -> tuple:
-    """A cache-key rendering of one decoded instruction.
-
-    Float immediates are type-tagged: ``7.0 == 7`` (and they hash alike),
-    but the two load distinct constants into the generated source.
-    """
-    if any(type(operand) is float for operand in ins):
-        return tuple(
-            (operand, "f") if type(operand) is float else operand
-            for operand in ins
-        )
-    return ins
-
-
 def compile_decoded(image, decoded: DecodedFunction) -> PyCompiledFunction:
-    """Translate one decoded function into a specialized Python callable."""
-    try:
-        key = (
-            decoded.name,
-            tuple(_freeze_instr(ins) for ins in decoded.code),
-            tuple(decoded.pc_map),
-            tuple(decoded.regs),
-        )
-    except TypeError:  # pragma: no cover - decoded code is always hashable
-        key = None
-    if key is not None:
-        cached = _ARTIFACTS.get(key)
-        if cached is not None:
-            return cached
+    """Translate one decoded function into a specialized Python callable.
+
+    The artifact depends on ``decoded`` alone; ``image`` is not retained.
+    """
+    key = hashlib.blake2b(
+        repr((decoded.name, decoded.code, decoded.pc_map, decoded.regs)).encode()
+    ).digest()
+    cached = _ARTIFACTS.get(key)
+    if cached is not None:
+        return cached
     emitter = _Emitter(decoded)
     source = emitter.generate()
     if os.environ.get("REPRO_PYCOMPILE_DUMP"):  # pragma: no cover - debug aid
@@ -852,21 +843,12 @@ def compile_decoded(image, decoded: DecodedFunction) -> PyCompiledFunction:
         "_META": emitter.meta,
         "_REGS": tuple(str(reg) for reg in decoded.regs),
         "_NAME": decoded.name,
-        "_IMAGE": image,
-        "_DECODED": decoded,
         "_SLOT_NAMES": tuple(emitter.slot_ids),
     }
     code = compile(source, f"<pycompiled {decoded.name}>", "exec")
     exec(code, namespace)
-    artifact = PyCompiledFunction(
-        name=decoded.name,
-        fn=namespace[emitter.fn_name()],
-        source=source,
-        blocks=sum(1 for b in emitter.blocks.values() if b.reachable),
-        arms=len(emitter.arms),
-    )
-    if key is not None:
-        if len(_ARTIFACTS) >= _ARTIFACTS_MAX:
-            del _ARTIFACTS[next(iter(_ARTIFACTS))]
-        _ARTIFACTS[key] = artifact
+    artifact = PyCompiledFunction(name=decoded.name, fn=namespace[emitter.fn_name()])
+    if len(_ARTIFACTS) >= _ARTIFACTS_MAX:
+        del _ARTIFACTS[next(iter(_ARTIFACTS))]
+    _ARTIFACTS[key] = artifact
     return artifact

@@ -8,12 +8,15 @@ original-code coordinates, even though the generated Python executes
 label-stripped code and only reconciles counters at segment boundaries.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
 from repro.bench.suite import all_programs, program
 from repro.compiler import compile_source
+from repro.interp import pycompile
 from repro.interp.machine import (
     FunctionImage,
     Machine,
@@ -384,9 +387,16 @@ class TestTierSelection:
 
 
 class TestArtifactCache:
-    """The content-addressed translation cache must key float and int
-    immediates apart (``7.0 == 7`` and they hash alike) and share one
-    artifact between structurally identical functions."""
+    """The content-addressed translation cache must key apart immediates
+    that compare equal (``7.0 == 7``, ``-0.0 == 0.0``), share one
+    artifact between structurally identical functions, and keep no image
+    alive: a shared artifact finds its running image through the machine.
+    """
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        """A private, empty translation cache for each test."""
+        monkeypatch.setattr(pycompile, "_ARTIFACTS", {})
 
     @staticmethod
     def _div_image(numerator):
@@ -420,3 +430,71 @@ class TestArtifactCache:
             first.functions["f"]._compiled
             is second.functions["f"]._compiled
         )
+
+    def test_signed_zero_immediates_do_not_collide(self):
+        def zero_image(value):
+            return single_image(
+                [
+                    iloc.loadi(value, vreg(0)),
+                    Instr(Op.PRINT, srcs=[vreg(0)]),
+                    Instr(Op.RET),
+                ]
+            )
+
+        def printed(value, tier):
+            stats, fault = execute(zero_image(value), tier, entry="f")
+            assert fault is None
+            return [repr(item) for item in stats.output]
+
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            pycompile._ARTIFACTS.clear()
+            for value in order:
+                assert printed(value, "compiled") == printed(value, "slow")
+        assert printed(-0.0, "compiled") == ["-0.0"]
+
+    def test_cache_pins_no_image(self):
+        image = self._div_image(7)
+        machine = Machine(image, tier="compiled")
+        assert machine.run("f") == 3
+        function = image.functions["f"]
+        artifact = function._compiled
+        image_ref = weakref.ref(function)
+        decoded_ref = weakref.ref(function._decoded)
+        del machine, image, function
+        gc.collect()
+        assert image_ref() is None
+        assert decoded_ref() is None
+        assert artifact in pycompile._ARTIFACTS.values()
+
+    def test_bail_on_shared_artifact_after_first_image_is_gone(self):
+        def loop_image():
+            # Two entry cycles, then a five-cycle loop body with no call:
+            # one straight-line segment per iteration.
+            return single_image(
+                [
+                    iloc.loadi(0, vreg(0)),
+                    iloc.loadi(1, vreg(1)),
+                    iloc.label("loop"),
+                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                    iloc.jmp("loop"),
+                ]
+            )
+
+        first = loop_image()
+        artifact = first.functions["f"].compiled_or_none()
+        assert artifact is not None
+        first_ref = weakref.ref(first.functions["f"])
+        del first
+        gc.collect()
+        assert first_ref() is None
+
+        second = loop_image()
+        # 2 + 5 + 5 = 12 cycles fit in 13; the third iteration's segment
+        # does not, so compiled code bails there and the fast path faults
+        # on that segment's second instruction.
+        fault = assert_tiers_agree(second, entry="f", max_cycles=13)
+        assert second.functions["f"]._compiled is artifact
+        assert fault == ("cycle budget exceeded in f", "f", 4, 14)
