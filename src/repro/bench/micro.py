@@ -1,16 +1,16 @@
-"""Interpreter microbenchmark: slow (tree-walking) vs fast (pre-decoded)
-vs compiled (generated Python) dispatch.
+"""Interpreter microbenchmark: slow (tree-walking) vs compiled (generated
+Python) dispatch.
 
 ``python -m repro.bench.micro`` runs every benchmark program's reference
-image through all three interpreter tiers and reports executed
-instructions per second (Minstr/s) for each, plus the compiled tier's
-speedup over the other two.  All tiers execute the *same*
+image through both interpreter tiers and reports executed instructions
+per second (Minstr/s) for each, plus the compiled tier's speedup over
+the slow loop.  Both tiers execute the *same*
 :class:`~repro.interp.machine.FunctionImage` objects and must produce
 identical outputs and cycle counters — the harness asserts both, so
 this doubles as a quick whole-suite equivalence smoke test.
 
-Decoded and compiled forms are cached on the image, so those columns
-include the (one-time) decode/translation cost on their first run;
+Decoded and compiled forms are cached on the image, so the compiled
+column includes the (one-time) decode/translation cost on its first run;
 ``--repeat`` amortizes it the way a sweep's repeated executions do.
 
 ``--json FILE`` additionally writes the per-program and aggregate
@@ -30,9 +30,9 @@ from ..compiler import compile_source
 from ..interp.machine import INTERP_TIERS, Machine
 from .suite import all_programs, program
 
-#: Measurement order: slowest first so the decoded/compiled caches are
-#: populated by the tier that owns them, not by a faster predecessor.
-TIER_ORDER = tuple(INTERP_TIERS)  # ("slow", "fast", "compiled")
+#: Measurement order: slow first, so the compiled column pays for the
+#: decode/translation cache it populates.
+TIER_ORDER = tuple(INTERP_TIERS)  # ("slow", "compiled")
 
 
 def _time_run(image, max_cycles: int, tier: str):
@@ -48,15 +48,14 @@ def run_micro(
     stream=sys.stdout,
 ) -> Dict[str, object]:
     """Run the microbenchmark; returns the report dict (the ``--json``
-    payload).  ``report["speedup"]["compiled_vs_fast"]`` is the headline
-    execute-stage ratio quoted in docs/BENCHMARKING.md."""
+    payload).  ``report["speedup"]["compiled_vs_slow"]`` is the headline
+    execute-stage ratio."""
     benches = (
         [program(name) for name in names] if names else all_programs()
     )
     header = (
         f"{'program':<12} {'Minstr':>8} "
-        f"{'slow Mi/s':>10} {'fast Mi/s':>10} {'comp Mi/s':>10} "
-        f"{'c/slow':>7} {'c/fast':>7}"
+        f"{'slow Mi/s':>10} {'comp Mi/s':>10} {'c/slow':>7}"
     )
     print(header, file=stream)
     print("-" * len(header), file=stream)
@@ -74,15 +73,14 @@ def run_micro(
                 elapsed, run_stats = _time_run(image, bench.max_cycles, tier)
                 seconds[tier] += elapsed
                 stats[tier] = run_stats
-        for tier in TIER_ORDER[1:]:
-            if stats["slow"].output != stats[tier].output:
-                raise AssertionError(
-                    f"{bench.name}: outputs diverge on the {tier} tier"
-                )
-            if stats["slow"].total != stats[tier].total:
-                raise AssertionError(
-                    f"{bench.name}: counters diverge on the {tier} tier"
-                )
+        if stats["slow"].output != stats["compiled"].output:
+            raise AssertionError(
+                f"{bench.name}: outputs diverge on the compiled tier"
+            )
+        if stats["slow"].total != stats["compiled"].total:
+            raise AssertionError(
+                f"{bench.name}: counters diverge on the compiled tier"
+            )
         instrs = stats["slow"].total.cycles * repeat
         total_instrs += instrs
         for tier in TIER_ORDER:
@@ -100,18 +98,13 @@ def run_micro(
                     "compiled_vs_slow": round(
                         seconds["slow"] / seconds["compiled"], 2
                     ),
-                    "compiled_vs_fast": round(
-                        seconds["fast"] / seconds["compiled"], 2
-                    ),
                 },
             }
         )
         print(
             f"{bench.name:<12} {instrs / 1e6:>8.2f} "
-            f"{mips['slow']:>10.2f} {mips['fast']:>10.2f} "
-            f"{mips['compiled']:>10.2f} "
-            f"{seconds['slow'] / seconds['compiled']:>6.1f}x "
-            f"{seconds['fast'] / seconds['compiled']:>6.1f}x",
+            f"{mips['slow']:>10.2f} {mips['compiled']:>10.2f} "
+            f"{seconds['slow'] / seconds['compiled']:>6.1f}x",
             file=stream,
         )
     print("-" * len(header), file=stream)
@@ -120,10 +113,8 @@ def run_micro(
     }
     print(
         f"{'total':<12} {total_instrs / 1e6:>8.2f} "
-        f"{aggregate_mips['slow']:>10.2f} {aggregate_mips['fast']:>10.2f} "
-        f"{aggregate_mips['compiled']:>10.2f} "
-        f"{totals['slow'] / totals['compiled']:>6.1f}x "
-        f"{totals['fast'] / totals['compiled']:>6.1f}x",
+        f"{aggregate_mips['slow']:>10.2f} {aggregate_mips['compiled']:>10.2f} "
+        f"{totals['slow'] / totals['compiled']:>6.1f}x",
         file=stream,
     )
     return {
@@ -136,10 +127,6 @@ def run_micro(
             "compiled_vs_slow": round(
                 totals["slow"] / totals["compiled"], 2
             ),
-            "compiled_vs_fast": round(
-                totals["fast"] / totals["compiled"], 2
-            ),
-            "fast_vs_slow": round(totals["slow"] / totals["fast"], 2),
         },
     }
 
@@ -147,7 +134,7 @@ def run_micro(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.micro",
-        description="slow/fast/compiled interpreter microbenchmark",
+        description="slow/compiled interpreter microbenchmark",
     )
     parser.add_argument(
         "--programs",

@@ -118,7 +118,8 @@ def cmd_run(args) -> int:
             filename=args.file,
         )
     # Only arm a plan when probes were requested: an armed plan (even an
-    # empty one) sidelines the interpreter's pre-decoded fast path.
+    # empty one) demotes the interpreter from the compiled tier to the
+    # slow loop.
     from contextlib import nullcontext
 
     with faults.injected(*specs) if specs else nullcontext():

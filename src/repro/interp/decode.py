@@ -1,43 +1,25 @@
-"""Pre-decoded interpreter images: decode once, dispatch on small ints.
+"""Pre-decoded interpreter images: the compiled tier's input format.
 
-The slow dispatch loop in :mod:`repro.interp.machine` pays, per executed
-instruction, for an ``Op`` enum identity ladder, label skipping, hashing
-of :class:`~repro.ir.iloc.Reg` dataclasses, and a closure call per
-operand read.  This module compiles a :class:`FunctionImage` once into a
-dense decoded form that removes all of that from the hot loop:
+:mod:`repro.interp.pycompile` translates a function from this dense form
+rather than from its :class:`~repro.ir.iloc.Instr` list.  Decoding a
+:class:`FunctionImage` once:
 
-* labels are stripped; branch and jump targets are pre-resolved to
-  *decoded* pc integers;
-* operands are unpacked out of :class:`~repro.ir.iloc.Instr` into flat
+* strips labels and pre-resolves branch and jump targets to *decoded*
+  pc integers;
+* unpacks operands out of :class:`~repro.ir.iloc.Instr` into flat
   per-op tuples whose first element is a small-int opcode;
-* register operands become dense per-function integer indices (the
-  register file is a dict keyed by those ints; ``DecodedFunction.regs``
-  maps an index back to the original :class:`Reg` so fault messages are
-  byte-identical to the slow path's);
-* ``ldm``/``stm`` are split into spill/global variants so the address
-  space test disappears from the loop.
-
-``HANDLERS`` is the dispatch table: one handler per opcode, indexed by
-the small int, called as ``pc = HANDLERS[op](machine, frame, regs, ins,
-pc)``.  ``ret`` and ``call`` are *not* in the table — the machine's fast
-dispatch loop handles them inline because both need to flush the
-dispatch-local cycle counter (for the shared cycle budget and for fault
-annotation).  Memory-traffic counters (loads/stores/copies) accumulate in
-``frame.counts`` and are folded into :class:`~repro.interp.stats.Counters`
-at frame exit, call boundaries, and faults.
+* renumbers register operands into dense per-function integer indices
+  (``DecodedFunction.regs`` maps an index back to the original
+  :class:`Reg`, so fault messages are byte-identical to the slow path's
+  and a bailing compiled activation can hand its registers back to the
+  slow loop under their ``Reg`` keys);
+* splits ``ldm``/``stm`` into spill/global variants.
 
 Decoded code is machine-independent: a decoded image cached on its
 :class:`FunctionImage` is shared by every machine (and every sweep cell)
 executing that image.  ``pc_map`` maps each decoded pc back to the
-original code index, so faults raised from the fast path are annotated in
-original-code coordinates.
-
-Semantics are replicated from the slow path expression by expression —
-including operand evaluation order, the ``and``/``or`` short-circuit (an
-uninitialized second operand only faults when the first operand forces
-its evaluation), and counter increments *before* the (possibly faulting)
-memory access — so fast and slow runs produce identical ``ExecStats`` and
-identical ``MachineFault`` annotations.
+original code index, so compiled-tier faults are annotated, and bails
+resume, in original-code coordinates.
 """
 
 from __future__ import annotations
@@ -46,15 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.iloc import Instr, Op, Reg
-from .memory import MachineFault
-
-# Late import target: machine.py imports this module lazily (first decode),
-# at which point machine.py is fully initialized.
-from .machine import _div, _mod
 
 # -- small-int opcodes -------------------------------------------------------
-# RET and CALL stay below 2 so the dispatch loop can test ``op > 1`` once
-# and handle both inline (they must flush dispatch-local counters).
 
 OP_RET = 0
 OP_CALL = 1
@@ -217,210 +192,3 @@ _BINARY_CODE = {
     Op.AND: OP_AND,
     Op.OR: OP_OR,
 }
-
-
-# -- handlers ----------------------------------------------------------------
-# Signature: handler(machine, frame, regs, ins, pc) -> next pc.  ``regs``
-# is ``frame.regs`` hoisted by the dispatch loop; an uninitialized read
-# surfaces as KeyError (dense int key) and is converted to the exact
-# slow-path MachineFault by the loop.  Counter increments happen *before*
-# the operand reads, mirroring the slow path's order on faulting runs.
-
-
-def _h_loadi(m, fr, regs, ins, pc):
-    regs[ins[1]] = ins[2]
-    return pc + 1
-
-
-def _h_add(m, fr, regs, ins, pc):
-    regs[ins[1]] = regs[ins[2]] + regs[ins[3]]
-    return pc + 1
-
-
-def _h_sub(m, fr, regs, ins, pc):
-    regs[ins[1]] = regs[ins[2]] - regs[ins[3]]
-    return pc + 1
-
-
-def _h_mul(m, fr, regs, ins, pc):
-    regs[ins[1]] = regs[ins[2]] * regs[ins[3]]
-    return pc + 1
-
-
-def _h_div(m, fr, regs, ins, pc):
-    regs[ins[1]] = _div(regs[ins[2]], regs[ins[3]])
-    return pc + 1
-
-
-def _h_mod(m, fr, regs, ins, pc):
-    regs[ins[1]] = _mod(regs[ins[2]], regs[ins[3]])
-    return pc + 1
-
-
-def _h_neg(m, fr, regs, ins, pc):
-    regs[ins[1]] = -regs[ins[2]]
-    return pc + 1
-
-
-def _h_cmp_lt(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(regs[ins[2]] < regs[ins[3]])
-    return pc + 1
-
-
-def _h_cmp_le(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(regs[ins[2]] <= regs[ins[3]])
-    return pc + 1
-
-
-def _h_cmp_gt(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(regs[ins[2]] > regs[ins[3]])
-    return pc + 1
-
-
-def _h_cmp_ge(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(regs[ins[2]] >= regs[ins[3]])
-    return pc + 1
-
-
-def _h_cmp_eq(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(regs[ins[2]] == regs[ins[3]])
-    return pc + 1
-
-
-def _h_cmp_ne(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(regs[ins[2]] != regs[ins[3]])
-    return pc + 1
-
-
-def _h_and(m, fr, regs, ins, pc):
-    # Short-circuit exactly like the slow path: the second operand is only
-    # read (and can only fault) when the first operand is truthy.
-    regs[ins[1]] = int(bool(regs[ins[2]]) and bool(regs[ins[3]]))
-    return pc + 1
-
-
-def _h_or(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(bool(regs[ins[2]]) or bool(regs[ins[3]]))
-    return pc + 1
-
-
-def _h_not(m, fr, regs, ins, pc):
-    regs[ins[1]] = int(not regs[ins[2]])
-    return pc + 1
-
-
-def _h_i2i(m, fr, regs, ins, pc):
-    fr.counts[2] += 1
-    regs[ins[1]] = regs[ins[2]]
-    return pc + 1
-
-
-def _h_load(m, fr, regs, ins, pc):
-    fr.counts[0] += 1
-    regs[ins[1]] = m.memory.load(regs[ins[2]])
-    return pc + 1
-
-
-def _h_store(m, fr, regs, ins, pc):
-    # Slow path reads the address operand (srcs[1]) before the value.
-    fr.counts[1] += 1
-    m.memory.store(regs[ins[2]], regs[ins[1]])
-    return pc + 1
-
-
-def _h_ldm_spill(m, fr, regs, ins, pc):
-    fr.counts[0] += 1
-    regs[ins[1]] = fr.slots.get(ins[2], 0)
-    return pc + 1
-
-
-def _h_ldm_global(m, fr, regs, ins, pc):
-    fr.counts[0] += 1
-    regs[ins[1]] = m.memory.load_scalar(ins[2])
-    return pc + 1
-
-
-def _h_stm_spill(m, fr, regs, ins, pc):
-    fr.counts[1] += 1
-    fr.slots[ins[1]] = regs[ins[2]]
-    return pc + 1
-
-
-def _h_stm_global(m, fr, regs, ins, pc):
-    fr.counts[1] += 1
-    m.memory.store_scalar(ins[1], regs[ins[2]])
-    return pc + 1
-
-
-def _h_loada(m, fr, regs, ins, pc):
-    try:
-        base = m.memory.array_base[ins[2]]
-    except KeyError:
-        raise MachineFault(f"unknown global array {ins[2]!r}") from None
-    regs[ins[1]] = base
-    return pc + 1
-
-
-def _h_alloca(m, fr, regs, ins, pc):
-    regs[ins[1]] = m.memory.alloca(ins[2])
-    return pc + 1
-
-
-def _h_cbr(m, fr, regs, ins, pc):
-    return ins[2] if regs[ins[1]] else ins[3]
-
-
-def _h_jmp(m, fr, regs, ins, pc):
-    return ins[1]
-
-
-def _h_param(m, fr, regs, ins, pc):
-    m._arg_queue.append(regs[ins[1]])
-    return pc + 1
-
-
-def _h_print(m, fr, regs, ins, pc):
-    m.stats.output.append(regs[ins[1]])
-    return pc + 1
-
-
-def _h_nop(m, fr, regs, ins, pc):
-    return pc + 1
-
-
-#: Dispatch table indexed by small-int opcode.  RET/CALL slots are None —
-#: the machine's fast dispatch loop handles them inline.
-HANDLERS: Tuple[Optional[object], ...] = (
-    None,           # OP_RET (inline)
-    None,           # OP_CALL (inline)
-    _h_loadi,
-    _h_add,
-    _h_sub,
-    _h_mul,
-    _h_div,
-    _h_mod,
-    _h_neg,
-    _h_cmp_lt,
-    _h_cmp_le,
-    _h_cmp_gt,
-    _h_cmp_ge,
-    _h_cmp_eq,
-    _h_cmp_ne,
-    _h_and,
-    _h_or,
-    _h_not,
-    _h_i2i,
-    _h_load,
-    _h_store,
-    _h_ldm_spill,
-    _h_ldm_global,
-    _h_stm_spill,
-    _h_stm_global,
-    _h_loada,
-    _h_alloca,
-    _h_cbr,
-    _h_jmp,
-    _h_param,
-    _h_print,
-    _h_nop,
-)

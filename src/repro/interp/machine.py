@@ -14,6 +14,14 @@ Counted events: every non-label instruction is one cycle; ``load``/``ldm``
 increment the load counter, ``store``/``stm`` the store counter, and
 ``i2i`` the copy counter — globally and attributed to the routine whose
 body is executing (the paper's Table 1 reports routines individually).
+
+Two tiers dispatch the same images with identical observable results.
+The ``slow`` loop (:meth:`Machine._dispatch`) walks ``Instr`` objects one
+at a time and is the only one that feeds a :class:`Tracer` or an armed
+fault plan.  The default ``compiled`` tier (:mod:`repro.interp.pycompile`)
+runs each function as generated Python and hands over to the slow loop
+in two cases: an image it cannot translate runs there whole, and an
+activation about to exceed the cycle budget bails there mid-function.
 """
 
 from __future__ import annotations
@@ -30,13 +38,14 @@ from .stats import Counters, ExecStats
 
 Number = Union[int, float]
 
-#: The three interpreter tiers, slowest first.  ``REPRO_INTERP`` selects
+#: The two interpreter tiers, slowest first.  ``REPRO_INTERP`` selects
 #: one globally (read at machine construction, so tests can monkeypatch
 #: it): ``slow`` forces the original instruction-by-instruction dispatch
-#: everywhere (used to prove tier equivalence end to end), ``fast`` the
-#: pre-decoded handler table, and ``compiled`` — the default — the
-#: pycompile tier (decoded images translated to specialized Python).
-INTERP_TIERS = ("slow", "fast", "compiled")
+#: everywhere (used to prove tier equivalence end to end), and
+#: ``compiled`` — the default — the pycompile tier (decoded images
+#: translated to specialized Python), which falls back to the slow loop
+#: for any image it cannot translate.
+INTERP_TIERS = ("slow", "compiled")
 DEFAULT_TIER = "compiled"
 
 
@@ -48,12 +57,13 @@ def _env_tier() -> Optional[str]:
 class _Bailout(Exception):
     """Private transport for a fault raised after a compiled-tier bail.
 
-    When compiled code bails to the decoded fast path (cycle budget about
-    to trip), the fast path flushes counters and annotates the fault
-    itself; the generated fault handlers of every compiled frame still on
-    the stack must *not* flush again.  Wrapping the fault in an exception
-    type they do not catch makes the pass-through structural;
-    :meth:`Machine._execute` unwraps it at the activation boundary.
+    When compiled code bails to the slow loop (cycle budget about to
+    trip), the bail flushes the pending counters and the slow loop
+    annotates the fault itself; the generated fault handler of the
+    bailing frame must *not* flush again.  Wrapping the fault in an
+    exception type that handler does not catch makes the pass-through
+    structural; :meth:`Machine._execute` and
+    :meth:`Machine._call_compiled` unwrap it at the activation boundary.
     """
 
     def __init__(self, fault: MachineFault):
@@ -90,8 +100,9 @@ class FunctionImage:
     code: Sequence[Instr]
     param_slots: List[str]
     labels: Dict[str, int] = field(default_factory=dict)
-    #: lazily decoded fast-path form (None = not decoded yet, False =
-    #: decode failed and the slow path is authoritative for this image).
+    #: lazily decoded form, the compiled tier's input (None = not decoded
+    #: yet, False = decode failed and the slow path is authoritative for
+    #: this image).
     _decoded: object = field(default=None, init=False, repr=False, compare=False)
     #: lazily compiled pycompile-tier artifact, cached alongside the
     #: decode cache with the same tri-state convention (None / False /
@@ -111,7 +122,8 @@ class FunctionImage:
         (the code is frozen once an image exists).  Returns None when the
         image cannot be decoded — the slow path then reproduces whatever
         behaviour (including crashes) the original code has, at original
-        timing.
+        timing.  The decoded ``regs`` and ``pc_map`` also let a compiled
+        activation hand its state back to the slow loop.
         """
         if self._decoded is None:
             try:
@@ -127,8 +139,8 @@ class FunctionImage:
 
         Like :meth:`decoded_or_none`, translation happens once per image
         and the artifact is shared by every machine.  Returns None when
-        the image cannot be compiled — the decoded fast path (or the
-        slow path) is then authoritative for this image.
+        the image cannot be compiled — the slow path is then
+        authoritative for this image.
         """
         if self._compiled is None:
             decoded = self.decoded_or_none()
@@ -158,16 +170,14 @@ class ProgramImage:
 
 
 class _Frame:
-    __slots__ = ("regs", "slots", "stack_mark", "counts")
+    __slots__ = ("regs", "slots", "stack_mark")
 
     def __init__(self, stack_mark: int):
-        #: keyed by Reg on the slow path, by dense int on the fast path.
-        self.regs: Dict[object, Number] = {}
+        #: keyed by Reg, read by the slow loop only: compiled code keeps
+        #: registers in Python locals and writes them here when it bails.
+        self.regs: Dict[Reg, Number] = {}
         self.slots: Dict[str, Number] = {}
         self.stack_mark = stack_mark
-        #: fast-path pending [loads, stores, copies], flushed into the
-        #: Counters at frame exit, call boundaries, and faults.
-        self.counts = [0, 0, 0]
 
 
 class Tracer:
@@ -202,7 +212,6 @@ class Machine:
         program: ProgramImage,
         max_cycles: int = 50_000_000,
         tracer: Optional[Tracer] = None,
-        force_slow: Optional[bool] = None,
         tier: Optional[str] = None,
     ):
         self.program = program
@@ -211,11 +220,9 @@ class Machine:
         self.stats = ExecStats()
         self.tracer = tracer
         #: requested interpreter tier.  Resolution order: the explicit
-        #: ``tier`` argument, then ``force_slow`` (the pre-tier opt-out,
-        #: kept for compatibility: True means ``slow``, False pins a
-        #: non-slow tier), then ``REPRO_INTERP``, then the default.
+        #: ``tier`` argument, then ``REPRO_INTERP``, then the default.
         #: A tracer or an armed fault plan still demotes execution to
-        #: the slow path at dispatch time (see :meth:`uses_fast_path`).
+        #: the slow path at dispatch time (see :meth:`interp_tier`).
         if tier is not None:
             if tier not in INTERP_TIERS:
                 raise ValueError(
@@ -223,14 +230,8 @@ class Machine:
                     f"expected one of {INTERP_TIERS}"
                 )
             self.tier = tier
-        elif force_slow:
-            self.tier = "slow"
         else:
-            env = _env_tier()
-            if force_slow is not None and env == "slow":
-                env = None  # explicit force_slow=False overrides the env
-            self.tier = env or DEFAULT_TIER
-        self.force_slow = self.tier == "slow"
+            self.tier = _env_tier() or DEFAULT_TIER
         #: seconds spent decoding images on behalf of this machine (zero
         #: when every image was already decoded by an earlier run).
         self.decode_seconds = 0.0
@@ -239,9 +240,8 @@ class Machine:
         #: translation).
         self.pycompile_seconds = 0.0
         self._arg_queue: List[Number] = []
-        #: pc of the instruction currently dispatching, always in
-        #: *original-code* coordinates (fast-path faults are mapped back
-        #: through the decoded image's pc_map).
+        #: pc of the slow loop's current instruction, in original-code
+        #: coordinates (the compiled tier annotates its own faults).
         self._fault_pc = 0
         #: effective tier, re-resolved at every :meth:`run` (fault plans
         #: arm and disarm between runs, never mid-run) so the per-
@@ -256,36 +256,15 @@ class Machine:
         self.stats.interp_tier = self._mode
         return self._call(entry, list(args))
 
-    def uses_fast_path(self) -> bool:
-        """True when dispatch will run on decoded or compiled images: no
-        tracer attached, fault injection not armed, slow tier not
-        selected.  A tracer and an armed fault plan demote the compiled
-        tier exactly as they demote the fast path — both observation
-        mechanisms are wired into the slow dispatch loop only."""
-        return (
-            self.tier != "slow"
-            and self.tracer is None
-            and _faults_active() is None
-        )
-
     def interp_tier(self) -> str:
-        """The tier dispatch will actually use for this machine."""
-        return self.tier if self.uses_fast_path() else "slow"
+        """The tier dispatch will actually use for this machine.
 
-    def predecode(self) -> int:
-        """Eagerly prepare every function image for the active tier
-        (normally decode/translate happens on first activation); returns
-        the number of images made ready."""
-        if not self.uses_fast_path():
-            return 0
-        count = 0
-        compiled_tier = self.tier == "compiled"
-        for image in self.program.functions.values():
-            if compiled_tier and self._compiled_for(image) is not None:
-                count += 1
-            elif self._decoded_for(image) is not None:
-                count += 1
-        return count
+        A tracer or an armed fault plan demotes the compiled tier to
+        ``slow``: both observation mechanisms are wired into the slow
+        dispatch loop only."""
+        if self.tracer is not None or _faults_active() is not None:
+            return "slow"
+        return self.tier
 
     def _decoded_for(self, image: FunctionImage):
         decoded = image._decoded
@@ -329,150 +308,55 @@ class Machine:
         made by the caller (compiled code only calls this under the
         compiled mode) and the image already looked up for the arity
         check.  The generated call site popped exactly ``arity`` queued
-        params, so the arg count needs no re-validation here.  Falls
-        back to :meth:`_call` for callees whose translation failed."""
+        params, so the arg count needs no re-validation here.  Callees
+        whose translation failed run on the slow loop."""
         compiled = image._compiled
         if compiled is None:
             compiled = self._compiled_for(image)
-        if not compiled:
-            return self._call(image.name, args)
         frame = _Frame(self.memory.stack_top)
         frame.slots.update(zip(image.param_slots, args))
         try:
+            if not compiled:
+                return self._run_slow(image, frame)
             try:
                 return compiled.fn(self, frame)
             except _Bailout as bailout:
-                # A compiled frame bailed to the fast path and faulted
+                # A compiled frame bailed to the slow loop and faulted
                 # there, fully flushed and annotated.
                 raise bailout.fault from None
         finally:
             self.memory.release_to(frame.stack_mark)
 
     def _execute(self, image: FunctionImage, frame: _Frame) -> Number:
-        mode = self._mode
-        if mode != "slow":
-            if mode == "compiled":
-                compiled = image._compiled
-                if compiled is None:
-                    compiled = self._compiled_for(image)
-                if compiled:
-                    try:
-                        return compiled.fn(self, frame)
-                    except _Bailout as bailout:
-                        # A compiled frame bailed to the fast path and
-                        # faulted there, fully flushed and annotated.
-                        raise bailout.fault from None
-            decoded = self._decoded_for(image)
-            if decoded is not None:
-                return self._dispatch_fast(image, decoded, frame)
-        code = image.code
-        counters = self.stats.function(image.name)
+        if self._mode == "compiled":
+            compiled = image._compiled
+            if compiled is None:
+                compiled = self._compiled_for(image)
+            if compiled:
+                try:
+                    return compiled.fn(self, frame)
+                except _Bailout as bailout:
+                    # A compiled frame bailed to the slow loop and
+                    # faulted there, fully flushed and annotated.
+                    raise bailout.fault from None
+        return self._run_slow(image, frame)
+
+    def _run_slow(self, image: FunctionImage, frame: _Frame, pc: int = 0) -> Number:
+        """Dispatch ``image`` on the slow loop from original-code ``pc``,
+        annotating any fault with this activation's coordinates.
+
+        ``pc`` is nonzero only when compiled code bails mid-activation
+        (see :func:`repro.interp.pycompile._bail`)."""
         total = self.stats.total
+        counters = self.stats.function(image.name)
         try:
-            return self._dispatch(image, frame, code, counters, total)
+            return self._dispatch(image, frame, image.code, counters, total, pc)
         except MachineFault as fault:
             # Innermost frame wins: annotate() never overwrites fields a
             # callee's dispatch already filled in.
             raise fault.annotate(
                 function=image.name, pc=self._fault_pc, cycles=total.cycles
             )
-
-    def _dispatch_fast(
-        self,
-        image: FunctionImage,
-        decoded,
-        frame: _Frame,
-        pc: int = 0,
-        cycles: int = 0,
-    ) -> Number:
-        """Drive the decoded handler table (see :mod:`repro.interp.decode`).
-
-        Cycles accumulate in a local and are folded into the shared
-        Counters at returns, call boundaries, and faults; the budget test
-        against ``limit`` is therefore equivalent to the slow path's
-        per-instruction ``total.cycles > max_cycles`` check.  ``ret`` and
-        ``call`` are handled inline because both need that flush.
-
-        ``pc``/``cycles`` are nonzero only when the compiled tier bails
-        mid-activation (see :func:`repro.interp.pycompile._bail`): the
-        dispatch resumes at the bail point carrying the compiled frame's
-        unflushed cycle count, so the budget fault fires at exactly the
-        instruction and cycle the per-instruction tiers would report.
-        """
-        from .decode import HANDLERS
-
-        code = decoded.code
-        n = len(code)
-        regs = frame.regs
-        counts = frame.counts
-        counters = self.stats.function(image.name)
-        total = self.stats.total
-        max_cycles = self.max_cycles
-        limit = max_cycles - total.cycles
-        result = 0
-        try:
-            while pc < n:
-                ins = code[pc]
-                op = ins[0]
-                cycles += 1
-                if cycles > limit:
-                    raise MachineFault(f"cycle budget exceeded in {image.name}")
-                if op > 1:
-                    pc = HANDLERS[op](self, frame, regs, ins, pc)
-                elif op == 0:  # ret
-                    src = ins[1]
-                    result = regs[src] if src is not None else 0
-                    break
-                else:  # call
-                    callee = ins[1]
-                    arity = len(self.program.image(callee).param_slots)
-                    queue = self._arg_queue
-                    if len(queue) < arity:
-                        raise MachineFault(
-                            f"call to {callee} with too few queued params"
-                        )
-                    args = queue[len(queue) - arity:]
-                    del queue[len(queue) - arity:]
-                    # Flush before recursing so the callee's budget check
-                    # and fault annotation see an up-to-date total.
-                    total.cycles += cycles
-                    counters.cycles += cycles
-                    cycles = 0
-                    value = self._call(callee, args)
-                    limit = max_cycles - total.cycles
-                    dst = ins[2]
-                    if dst is not None:
-                        regs[dst] = value
-                    pc += 1
-        except MachineFault as fault:
-            total.cycles += cycles
-            counters.cycles += cycles
-            _flush_counts(counts, counters, total)
-            self._fault_pc = decoded.pc_map[pc] if pc < n else 0
-            raise fault.annotate(
-                function=image.name, pc=self._fault_pc, cycles=total.cycles
-            )
-        except KeyError as err:
-            # An uninitialized register read: the only bare KeyError the
-            # handlers can leak is a miss in the dense register file.
-            key = err.args[0] if err.args else None
-            if not (isinstance(key, int) and 0 <= key < len(decoded.regs)):
-                raise
-            total.cycles += cycles
-            counters.cycles += cycles
-            _flush_counts(counts, counters, total)
-            self._fault_pc = decoded.pc_map[pc]
-            raise MachineFault(
-                f"read of uninitialized register {decoded.regs[key]} "
-                f"in {image.name}",
-                function=image.name,
-                pc=self._fault_pc,
-                cycles=total.cycles,
-            ) from None
-        total.cycles += cycles
-        counters.cycles += cycles
-        _flush_counts(counts, counters, total)
-        return result
 
     def _dispatch(
         self,
@@ -481,10 +365,10 @@ class Machine:
         code: Sequence[Instr],
         counters: Counters,
         total: Counters,
+        pc: int = 0,
     ) -> Number:
-        pc = 0
         n = len(code)
-        self._fault_pc = 0
+        self._fault_pc = pc
 
         def get(reg: Reg) -> Number:
             try:
@@ -611,23 +495,6 @@ class Machine:
                 raise MachineFault(f"cannot execute {instr}")
             pc += 1
         return 0
-
-
-def _flush_counts(counts: List[int], counters: Counters, total: Counters) -> None:
-    """Fold a frame's pending load/store/copy counts into the stats."""
-    loads, stores, copies = counts
-    if loads:
-        total.loads += loads
-        counters.loads += loads
-        counts[0] = 0
-    if stores:
-        total.stores += stores
-        counters.stores += stores
-        counts[1] = 0
-    if copies:
-        total.copies += copies
-        counters.copies += copies
-        counts[2] = 0
 
 
 def _div(a: Number, b: Number) -> Number:

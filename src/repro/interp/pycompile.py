@@ -1,9 +1,9 @@
 """The compiled interpreter tier: decoded images translated to Python.
 
-The decoded fast path (:mod:`repro.interp.decode`) still pays, per
-executed ILOC instruction, for one trip around a dispatch loop: a tuple
-index, a handler-table load, a Python call, and a dict operation per
-register operand.  This module removes all of that by translating each
+The slow dispatch loop in :mod:`repro.interp.machine` pays, per executed
+ILOC instruction, for an ``Op`` comparison ladder, label skipping, and a
+hashed :class:`~repro.ir.iloc.Reg` lookup per register operand.  This
+module removes all of that by translating each
 :class:`~repro.interp.decode.DecodedFunction` once into the source of a
 single specialized Python function which is then ``compile()``d and
 ``exec``d:
@@ -19,23 +19,23 @@ single specialized Python function which is then ``compile()``d and
   instead of incrementing per instruction.
 
 Exactness is non-negotiable — the compiled tier must be observationally
-identical to the slow path (the fast path already is):
+identical to the slow path:
 
 * **Counters.**  Within a basic block, the counters can only be
   observed at calls, returns, and faults; adding a segment's static
   totals at those points is indistinguishable from the per-instruction
-  increments the other tiers perform.
-* **Cycle budget.**  The fast path checks ``cycles > limit`` after each
-  increment.  A straight-line segment of ``B`` instructions runs them
-  all unconditionally, so the budget trips inside the segment *iff*
-  ``cycles + B > limit`` at segment entry.  The compiled code tests
-  exactly that, and when it would trip it *bails*: registers are
-  materialized back into the frame and execution resumes
-  instruction-by-instruction on the decoded fast path from the segment
-  start, which then produces the byte-identical fault (whichever of
-  budget/divide/etc. comes first).  The bail path only runs on
-  activations that are already guaranteed to fault, so it costs nothing
-  on the happy path.
+  increments the slow loop performs.
+* **Cycle budget.**  The slow loop checks ``total.cycles > max_cycles``
+  after each increment.  A straight-line segment of ``B`` instructions
+  runs them all unconditionally, so the budget trips inside the segment
+  *iff* ``cycles + B > limit`` at segment entry.  The compiled code tests
+  exactly that, and when it would trip it *bails*: registers and pending
+  counters are materialized back into the frame and the stats, and
+  execution resumes instruction-by-instruction on the slow loop from the
+  segment start, which then produces the byte-identical fault (whichever
+  of budget/divide/etc. comes first).  The bail runs at most one segment
+  and only on activations that are already guaranteed to fault, so it
+  costs nothing on the happy path.
 * **Faults.**  Before every instruction that can fault (``div``/
   ``mod``, heap access, ``loada``, ``call``, and any register read not
   proven initialized by a definite-assignment dataflow), the generated
@@ -46,7 +46,7 @@ identical to the slow path (the fast path already is):
   function, pc, cycles) byte for byte.  Reads of uninitialized
   registers surface as :class:`UnboundLocalError`/:class:`NameError` on
   an ``rN`` local and are converted into the same ``MachineFault`` the
-  other tiers raise.
+  slow loop raises.
 
 The compiled artifact is cached on the :class:`FunctionImage` next to
 the decode cache, so every machine (and every sweep cell or service
@@ -54,13 +54,14 @@ worker touching that image) shares one translation.  Translations are
 also shared across images through a content-keyed cache (``_ARTIFACTS``)
 that holds only the generated function and its ``_META`` fault map, never
 an image: the bail path finds the running image through the machine.
-Any failure to translate falls back to the decoded fast path for that
-image alone.
+Any failure to translate falls back to the slow loop for that image
+alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -172,41 +173,45 @@ def _bail(
     lcls,
     slot_names=(),
 ):
-    """Leave compiled code and replay from ``pc`` on the decoded fast path.
+    """Leave compiled code and replay from decoded ``pc`` on the slow loop.
 
     Called when a segment's cycle pre-check says the budget would trip
-    inside it: the activation is guaranteed to fault, and the fast path
+    inside it: the activation is guaranteed to fault, and the slow loop
     is the authority on *which* instruction faults first.  The running
     image is looked up by ``name`` in the machine's program, as generated
-    call sites do, so the shared artifact pins no image.  Registers
-    (and promoted frame slots, mapped back through ``slot_names``) move
-    from Python locals into the frame; pending counter deltas move into
-    ``frame.counts``, where the fast path accumulates and flushes them.
+    call sites do, so the shared artifact pins no image.  Register locals
+    ``rN`` move into the frame under their :class:`~repro.ir.iloc.Reg`
+    keys (``decoded.regs[N]``), promoted frame slots ``_sN`` move back
+    through ``slot_names``, and the pending counter deltas go straight
+    into the stats, which the slow loop then advances one instruction at
+    a time, so its budget check trips on the same instruction.
 
     The resulting fault is fully flushed and annotated, so it must sail
     *through* this activation's own generated ``except MachineFault``
-    handler (which would flush stale deltas a second time): it travels
-    wrapped in :class:`~repro.interp.machine._Bailout` and is unwrapped
-    at the activation boundary in :class:`~repro.interp.machine.Machine`.
+    handler (which would flush the pending deltas a second time): it
+    travels wrapped in :class:`~repro.interp.machine._Bailout` and is
+    unwrapped at the activation boundary in
+    :class:`~repro.interp.machine.Machine`.
     """
     from .machine import _Bailout
 
+    image = machine.program.functions[name]
+    decoded = image._decoded
     regs = frame.regs
     slots = frame.slots
     for key, value in lcls.items():
         if key[0] == "r" and key[1:].isdigit():
-            regs[int(key[1:])] = value
+            regs[decoded.regs[int(key[1:])]] = value
         elif key.startswith("_s") and key[2:].isdigit():
             slots[slot_names[int(key[2:])]] = value
-    counts = frame.counts
-    counts[0] += loads
-    counts[1] += stores
-    counts[2] += copies
-    image = machine.program.functions[name]
+    stats = machine.stats
+    for counters in (stats.total, stats.function(name)):
+        counters.cycles += cycles
+        counters.loads += loads
+        counters.stores += stores
+        counters.copies += copies
     try:
-        return machine._dispatch_fast(
-            image, image._decoded, frame, pc=pc, cycles=cycles
-        )
+        return machine._run_slow(image, frame, decoded.pc_map[pc])
     except MachineFault as fault:
         raise _Bailout(fault) from None
 
@@ -539,7 +544,7 @@ class _Emitter:
                 )
 
             if op == OP_LOADI:
-                self.emit(depth, f"r{ins[1]} = {ins[2]!r}")
+                self.emit(depth, f"r{ins[1]} = {_literal(ins[2])}")
             elif op in _INFIX:
                 expr = f"r{ins[2]} {_INFIX[op]} r{ins[3]}"
                 if op in _CMP_OPS:
@@ -672,7 +677,7 @@ class _Emitter:
     ) -> None:
         """``call``: account and flush cycles first (so the callee's
         budget check and fault annotation see an up-to-date total,
-        exactly like the fast path's inline handling), then the arity
+        exactly like the slow loop's per-instruction counts), then the arity
         check, then the activation itself."""
         self.uses.update(("_argq", "_prog_image", "_machine_call", "_max_cycles"))
         callee = ins[1]
@@ -799,6 +804,14 @@ class _Emitter:
             ("_st" if self.has_stores else None, "stores"),
             ("_cp" if self.has_copies else None, "copies"),
         ]
+
+
+def _literal(value) -> str:
+    """Python source for a ``loadi`` immediate.  ``repr`` of a non-finite
+    float (``inf``, ``-inf``, ``nan``) is not an expression."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float({str(value)!r})"
+    return repr(value)
 
 
 def _safe_ident(name: str) -> str:

@@ -22,8 +22,8 @@ image_to_payload(img))`` must produce byte-identical listings
 (:func:`repro.ir.printer.format_code`) and observably identical
 execution, which `tests/interp/test_serialize.py` pins for every
 bench-suite program and allocator.  Deserialized images rebuild their
-label maps and decoded fast-path forms lazily, exactly like freshly
-allocated ones.
+label maps, decoded forms and compiled-tier translations lazily,
+exactly like freshly allocated ones.
 """
 
 from __future__ import annotations

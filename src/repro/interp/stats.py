@@ -47,7 +47,7 @@ class ExecStats:
     #: Stanford routines ``fit``, ``place``, ``trial`` individually.
     per_function: Dict[str, Counters] = field(default_factory=dict)
     output: list = field(default_factory=list)
-    #: which interpreter tier executed the run ("slow"/"fast"/"compiled");
+    #: which interpreter tier executed the run ("slow"/"compiled");
     #: excluded from equality — the whole point of the tiers is that runs
     #: on different ones compare equal on every observable counter.
     interp_tier: "str | None" = field(default=None, compare=False)

@@ -3,8 +3,8 @@
 Regression test for a cache-aliasing bug: ``reference_image()`` used a
 single cached slot, so a ``schedule=True`` request after a plain one
 (or vice versa) would be handed the wrong instruction order — and,
-because the pre-decoded fast-path form hangs off the FunctionImage, the
-wrong *decode cache* as well.  The cache is now keyed per variant; this
+because the decoded form and the compiled-tier translation hang off the
+FunctionImage, the wrong *decode cache* as well.  The cache is now keyed per variant; this
 pins cached-vs-fresh byte equality for both settings.
 """
 

@@ -1,7 +1,7 @@
 """Golden equivalence of the compiled tier and the slow path.
 
 The compile-to-Python tier must be an *observationally invisible*
-optimization, exactly like the decoded fast path: identical outputs,
+optimization: identical outputs,
 identical cycle/load/store/copy counters (total and per-function), and
 identical fault annotations — with the fault pc always reported in
 original-code coordinates, even though the generated Python executes
@@ -128,10 +128,8 @@ def single_image(code, globals_=(), params=(), extra=None):
 
 
 class TestFaultEquivalence:
-    """Hand-built images hitting every fault class on both tiers.
-
-    Expected tuples are copied from ``test_decode.py`` — the compiled
-    tier must agree with the slow path on the same coordinates."""
+    """Hand-built images hitting every fault class on both tiers: the
+    compiled tier must agree with the slow path on the same coordinates."""
 
     def test_uninitialized_register(self):
         image = single_image(
@@ -256,6 +254,50 @@ class TestFaultEquivalence:
         assert fault is None
 
 
+class TestNonFiniteImmediates:
+    """``repr`` of a non-finite float is no Python expression: ``loadi``
+    of ``inf``, ``-inf`` or ``nan`` must still run compiled.  Outputs are
+    compared as text because ``nan != nan``."""
+
+    @staticmethod
+    def printed(image, tier, entry):
+        stats, fault = execute(image, tier, entry=entry)
+        assert fault is None
+        assert stats.interp_tier == tier
+        return stats, [str(item) for item in stats.output]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_loadi_immediate(self, value):
+        def image():
+            return single_image(
+                [
+                    iloc.loadi(float(value), vreg(0)),
+                    Instr(Op.PRINT, srcs=[vreg(0)]),
+                    Instr(Op.RET),
+                ]
+            )
+
+        slow_stats, slow_out = self.printed(image(), "slow", "f")
+        comp_stats, comp_out = self.printed(image(), "compiled", "f")
+        assert comp_out == slow_out == [value]
+        assert comp_stats.total == slow_stats.total
+
+    def test_source_overflow_literal(self):
+        source = (
+            "void main() { float x; x = 1e999;"
+            " print(x); print(-x); print(x - x); }"
+        )
+        slow_stats, slow_out = self.printed(
+            compile_source(source).reference_image(), "slow", "main"
+        )
+        comp_stats, comp_out = self.printed(
+            compile_source(source).reference_image(), "compiled", "main"
+        )
+        assert comp_out == slow_out == ["inf", "-inf", "nan"]
+        assert comp_stats.total == slow_stats.total
+        assert comp_stats.per_function == slow_stats.per_function
+
+
 BUDGET_SOURCE = """
 int work(int n) {
     int arr[8];
@@ -275,8 +317,8 @@ void main() {
 
 
 class TestBudgetBail:
-    """Mid-segment budget exhaustion bails to the fast path, which must
-    land on exactly the slow path's fault coordinates and counters."""
+    """Mid-segment budget exhaustion bails to the slow loop, which must
+    land on exactly a whole slow run's fault coordinates and counters."""
 
     @pytest.mark.parametrize("budget", [500, 5_000, 50_000])
     def test_budget_fault_equivalence_reference(self, budget):
@@ -288,7 +330,7 @@ class TestBudgetBail:
     @pytest.mark.parametrize("budget", [500, 5_000])
     def test_budget_fault_equivalence_spilled(self, budget):
         # rap at k=3 spills: the bail path must materialize the spill
-        # slots it promoted to Python locals before the fast path resumes.
+        # slots it promoted to Python locals before the slow loop resumes.
         prog = compile_source(BUDGET_SOURCE)
         image = allocated_image(prog, "rap", 3)
         fault = assert_tiers_agree(image, max_cycles=budget)
@@ -313,9 +355,11 @@ class TestTierSelection:
         assert machine.interp_tier() == "compiled"
 
     def test_env_selects_tier(self, monkeypatch):
-        for tier in ("slow", "fast", "compiled"):
+        for tier in ("slow", "compiled"):
             monkeypatch.setenv("REPRO_INTERP", tier)
             assert Machine(self.source_image()).tier == tier
+        with pytest.raises(ValueError):
+            Machine(self.source_image(), tier="fast")
 
     def test_explicit_tier_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERP", "slow")
@@ -333,7 +377,9 @@ class TestTierSelection:
         assert machine.stats.output == [45]
         assert machine.stats.interp_tier == "compiled"
         assert image.functions["main"]._compiled is not None
+        assert image.functions["main"]._decoded is not None
         assert machine.pycompile_seconds > 0.0
+        assert machine.decode_seconds > 0.0
 
     def test_tracer_demotes_to_slow(self):
         image = self.source_image()
@@ -347,12 +393,12 @@ class TestTierSelection:
         assert image.functions["main"]._compiled is None
         assert image.functions["main"]._decoded is None
 
-    def test_force_slow_flag_beats_compiled_default(self):
+    def test_slow_tier_translates_nothing(self):
         image = self.source_image()
-        machine = Machine(image, force_slow=True)
-        assert machine.tier == "slow"
+        machine = Machine(image, tier="slow")
         machine.run("main")
         assert image.functions["main"]._compiled is None
+        assert image.functions["main"]._decoded is None
 
     def test_armed_fault_plan_demotes_compiled_env(self, monkeypatch):
         """The ISSUE regression: REPRO_INTERP=compiled with an armed
@@ -493,7 +539,7 @@ class TestArtifactCache:
 
         second = loop_image()
         # 2 + 5 + 5 = 12 cycles fit in 13; the third iteration's segment
-        # does not, so compiled code bails there and the fast path faults
+        # does not, so compiled code bails there and the slow loop faults
         # on that segment's second instruction.
         fault = assert_tiers_agree(second, entry="f", max_cycles=13)
         assert second.functions["f"]._compiled is artifact

@@ -1,13 +1,13 @@
-"""ssaspill-allocated images execute byte-identically on all three
+"""ssaspill-allocated images execute byte-identically on both
 interpreter tiers.
 
 The differential sweep mirrors the CI fuzz configuration: the bench
 suite, 25 generator seeds, and the committed corpus, each compiled,
 allocated by the SSA spill-then-color rung through the verifying
-pipeline, and executed on the ``slow``, ``fast``, and ``compiled``
-tiers.  Outputs and all counters (total and per-function) must agree
-exactly — the allocator is a measurement competitor, so a tier-specific
-divergence would silently skew Table 1.
+pipeline, and executed on the ``slow`` and ``compiled`` tiers.
+Outputs and all counters (total and per-function) must agree exactly —
+the allocator is a measurement competitor, so a tier-specific divergence
+would silently skew Table 1.
 """
 
 import os
@@ -30,14 +30,13 @@ def run_tier(image, tier, max_cycles):
     return machine.stats
 
 
-def assert_three_tiers_agree(image, max_cycles):
-    slow, fast, compiled = (
+def assert_tiers_agree(image, max_cycles):
+    slow, compiled = (
         run_tier(image, tier, max_cycles) for tier in INTERP_TIERS
     )
-    for other in (fast, compiled):
-        assert other.output == slow.output
-        assert other.total == slow.total
-        assert other.per_function == slow.per_function
+    assert compiled.output == slow.output
+    assert compiled.total == slow.total
+    assert compiled.per_function == slow.per_function
 
 
 class TestBenchSuite:
@@ -46,7 +45,7 @@ class TestBenchSuite:
     def test_bench_program(self, bench, k):
         prog = compile_source(bench.source(), filename=bench.filename)
         image = _allocate_image(prog, "ssaspill", k)
-        assert_three_tiers_agree(image, bench.max_cycles)
+        assert_tiers_agree(image, bench.max_cycles)
 
 
 class TestFuzzSeeds:
@@ -54,7 +53,7 @@ class TestFuzzSeeds:
     def test_fuzz_seed(self, seed):
         prog = compile_source(random_source(seed, "small"))
         image = _allocate_image(prog, "ssaspill", 3)
-        assert_three_tiers_agree(image, 3_000_000)
+        assert_tiers_agree(image, 3_000_000)
 
 
 def _corpus_entries():
@@ -70,4 +69,4 @@ class TestCorpus:
         with open(entry.path(self.corpus.directory)) as handle:
             prog = compile_source(handle.read())
         image = _allocate_image(prog, "ssaspill", 3)
-        assert_three_tiers_agree(image, 3_000_000)
+        assert_tiers_agree(image, 3_000_000)
