@@ -28,21 +28,29 @@ blocks / dataflow), ``regalloc`` (GRA baseline, RAP, coalescing),
 ``interp`` (the counting interpreter), ``bench`` (the Table-1 suite).
 """
 
-from .compiler import CompiledProgram, compile_source, param_slots
-from .interp.machine import FunctionImage, Machine, ProgramImage, run_program
-from .regalloc import allocate_gra, allocate_rap
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "compile_source",
-    "CompiledProgram",
-    "param_slots",
-    "run_program",
-    "Machine",
-    "ProgramImage",
-    "FunctionImage",
-    "allocate_gra",
-    "allocate_rap",
-    "__version__",
-]
+
+def _lazy_exports(package, exports):
+    """A PEP 562 module ``__getattr__`` for ``exports`` (submodule ->
+    names): each name's submodule is imported on first use, so a process
+    that never touches the compiler never loads it."""
+    owner = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name not in owner:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(owner[name], package), name)
+
+    return __getattr__
+
+
+_EXPORTS = {
+    ".compiler": ("compile_source", "CompiledProgram", "param_slots"),
+    ".interp.machine": ("run_program", "Machine", "ProgramImage", "FunctionImage"),
+    ".regalloc": ("allocate_gra", "allocate_rap"),
+}
+__getattr__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]

@@ -1,7 +1,7 @@
 """Benchmark suite and Table-1 harness."""
 
 from .harness import Harness, Table1, build_table1
-from .parallel import CellSpec, cells_for, default_jobs, run_cells
+from .parallel import CellSpec, cells_for, run_cells
 from .suite import PROGRAMS, BenchProgram, all_programs, all_routines, program
 
 __all__ = [
@@ -15,6 +15,5 @@ __all__ = [
     "all_programs",
     "all_routines",
     "cells_for",
-    "default_jobs",
     "run_cells",
 ]

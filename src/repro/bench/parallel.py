@@ -34,7 +34,6 @@ coarser chunks would serialize the tail.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -101,13 +100,6 @@ def _run_cell(spec: CellSpec):
         return spec, run, None
     except StageError as err:
         return spec, None, err.freeze()
-
-
-def default_jobs() -> int:
-    """Worker count matching the CPUs this process may actually use."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
 
 
 def run_cells(

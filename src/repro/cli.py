@@ -41,20 +41,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .compiler import CompiledProgram, compile_source, param_slots
-from .frontend.errors import FrontendError
-from .interp.machine import FunctionImage, Machine, ProgramImage, run_program
-from .interp.memory import MachineFault
-from .ir.printer import format_code, format_function
-from .pdg.dot import to_dot
-from .pdg.linearize import linearize
-from .regalloc.coalesce import coalesce_function
-from .resilience import faults
 from .resilience.errors import StageError
-from .resilience.pipeline import PassPipeline, PipelineConfig
 from .resilience.telemetry import MetricsCollector, render_profile
+
+# The compiler loads inside the commands that run it, so ``serve`` and
+# ``router`` (dispatched before any of them) start without it.
+if TYPE_CHECKING:  # pragma: no cover
+    from .compiler import CompiledProgram
+    from .interp.machine import ProgramImage
+    from .resilience.pipeline import PassPipeline
 
 ALLOCATOR_CHOICES = ("gra", "rap", "ssaspill", "linearscan", "spillall")
 
@@ -64,6 +61,8 @@ def _load(
     granularity: str = "statement",
     pipeline: Optional[PassPipeline] = None,
 ) -> CompiledProgram:
+    from .compiler import compile_source
+
     with open(path) as handle:
         source = handle.read()
     return compile_source(
@@ -79,6 +78,11 @@ def _allocate_image(
     pipeline: Optional[PassPipeline] = None,
 ) -> ProgramImage:
     """Allocate every function through the verifying pipeline."""
+    from .compiler import param_slots
+    from .interp.machine import FunctionImage, ProgramImage
+    from .regalloc.coalesce import coalesce_function
+    from .resilience.pipeline import PassPipeline, PipelineConfig
+
     pipeline = pipeline or PassPipeline(PipelineConfig())
     module = prog.fresh_module()
     functions: Dict[str, FunctionImage] = {}
@@ -100,6 +104,10 @@ def _print_stats(label: str, stats) -> None:
 
 def cmd_run(args) -> int:
     import time
+
+    from .interp.machine import Machine, run_program
+    from .resilience import faults
+    from .resilience.pipeline import PassPipeline, PipelineConfig
 
     specs = [faults.FaultSpec(point) for point in args.inject or []]
     collector = MetricsCollector() if args.profile else None
@@ -164,6 +172,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .interp.machine import run_program
     from .testing.compare import first_divergence, outputs_equal
 
     prog = _load(args.file, args.granularity)
@@ -196,6 +205,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from .ir.printer import format_code, format_function
+    from .pdg.dot import to_dot
+    from .pdg.linearize import linearize
+
     prog = _load(args.file, args.granularity)
     module = prog.module
     if args.what == "src":
@@ -309,6 +322,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_faults(args) -> int:
+    from .resilience import faults
+
     width = max(len(point) for point in faults.PROBE_POINTS)
     for point in sorted(faults.PROBE_POINTS):
         print(f"{point.ljust(width)}  {faults.PROBE_POINTS[point]}")
@@ -478,6 +493,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _compiler_command(argv: Sequence[str]) -> int:
+    """Every command but the service ones, with their failure rendering."""
+    from .frontend.errors import FrontendError
+    from .interp.memory import MachineFault
+
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except FrontendError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MachineFault as err:
+        print(f"machine fault: {err}", file=sys.stderr)
+        return 1
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -485,8 +516,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "serve", "router", "request", "router-admin", "loadgen"
         ):
             return _service_command(argv[0], argv[1:])
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _compiler_command(argv)
     except BrokenPipeError:  # e.g. piped into `head`
         try:
             sys.stdout.close()
@@ -495,12 +525,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except StageError as err:
         print(err.render(), file=sys.stderr)
-        return 1
-    except FrontendError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except MachineFault as err:
-        print(f"machine fault: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         # bad user input: unknown probe point, missing source file,

@@ -1,6 +1,5 @@
 """iloc intermediate representation and the AST -> PDG builder."""
 
 from .iloc import Instr, Op, Reg, Symbol, preg, vreg
-from .builder import build_module
 
-__all__ = ["Instr", "Op", "Reg", "Symbol", "preg", "vreg", "build_module"]
+__all__ = ["Instr", "Op", "Reg", "Symbol", "preg", "vreg"]

@@ -1,8 +1,6 @@
 """The Program Dependence Graph: regions, predicates, analyses."""
 
 from .graph import GlobalVar, Module, ParamInfo, PDGFunction
-from .linearize import LinearCode, linearize
-from .liveness import FunctionAnalysis
 from .nodes import Predicate, Region
 
 __all__ = [
@@ -12,7 +10,4 @@ __all__ = [
     "Module",
     "GlobalVar",
     "ParamInfo",
-    "linearize",
-    "LinearCode",
-    "FunctionAnalysis",
 ]

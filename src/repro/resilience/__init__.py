@@ -20,6 +20,10 @@ allocator is wrong?".  Four layers, each usable on its own:
   ``--metrics-out`` CLI flags;
 * :mod:`.triage` / :mod:`.fuzz` — differential fuzzing with
   delta-minimized repro bundles written to ``artifacts/``.
+
+The package itself re-exports only the compiler-free layers (errors,
+fallback, telemetry), which the service processes share; import the
+others from their submodules.
 """
 
 from .errors import (
@@ -34,52 +38,22 @@ from .errors import (
     StageError,
 )
 from .fallback import FALLBACK_CHAIN, FallbackEvent, chain_for
-from .faults import PROBE_POINTS, FaultInjected, FaultPlan, FaultSpec, injected
-from .pipeline import STAGES, PassPipeline, PipelineConfig
 from .telemetry import MetricsCollector, StageMetrics, aggregate
-from .triage import (
-    Failure,
-    ReplayResult,
-    TriageBundle,
-    load_bundle,
-    make_bundle,
-    minimize_source,
-    probe_failure,
-    replay_bundle,
-    write_bundle,
-)
 
 __all__ = [
     "ChordalValidationError",
     "DestructValidationError",
     "FALLBACK_CHAIN",
-    "Failure",
     "FallbackEvent",
-    "FaultInjected",
-    "FaultPlan",
-    "FaultSpec",
     "MetricsCollector",
     "MiscompileError",
     "MotionValidationError",
-    "PROBE_POINTS",
-    "PassPipeline",
     "PeepholeValidationError",
-    "PipelineConfig",
-    "ReplayResult",
     "SSAValidationError",
     "ScheduleValidationError",
-    "STAGES",
     "StageContext",
     "StageError",
     "StageMetrics",
-    "TriageBundle",
     "aggregate",
     "chain_for",
-    "injected",
-    "load_bundle",
-    "make_bundle",
-    "minimize_source",
-    "probe_failure",
-    "replay_bundle",
-    "write_bundle",
 ]

@@ -46,24 +46,16 @@ docs/OPERATIONS.md for deployment topologies and runbooks, and
 docs/ROBUSTNESS.md for the failure-mode matrix.
 """
 
-from .cache import ArtifactCache, cache_key, key_components, source_fingerprint
-from .client import ServiceClient, ServiceError, connect_with_retry
-from .router import HashRing, RouterService, router_main
-from .server import CompileService, serve
-from .workers import Supervision
+from .. import _lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "cache_key",
-    "key_components",
-    "source_fingerprint",
-    "CompileService",
-    "ServiceClient",
-    "ServiceError",
-    "connect_with_retry",
-    "HashRing",
-    "RouterService",
-    "router_main",
-    "Supervision",
-    "serve",
-]
+# Each process imports only the modules its role runs: the router never
+# loads the server, and only a worker child loads the compiler.
+_EXPORTS = {
+    ".cache": ("ArtifactCache", "cache_key", "key_components", "source_fingerprint"),
+    ".client": ("ServiceClient", "ServiceError", "connect_with_retry"),
+    ".router": ("HashRing", "RouterService", "router_main"),
+    ".server": ("CompileService", "serve"),
+    ".workers": ("Supervision",),
+}
+__getattr__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -100,7 +100,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..interp.serialize import FORMAT_VERSION
-from ..resilience.pipeline import PipelineConfig
+from ..resilience.config import PipelineConfig
 from . import defaults
 
 #: Default in-memory budget: generous for this repository's programs

@@ -99,15 +99,19 @@ class ServiceError(Exception):
         return self.kind in RETRYABLE_KINDS or self.kind in _CONNECTION_KINDS
 
 
+def _error_payload(kind: str, message: str, **extra: Any) -> Dict[str, Any]:
+    """A frozen-StageError-shaped payload for non-pipeline failures, so
+    clients handle every error through one code path."""
+    return {
+        "kind": kind,
+        "message": message,
+        "context": {"stage": kind, "extra": extra} if extra else {"stage": kind},
+        "cause": None,
+    }
+
+
 def _protocol_error(kind: str, message: str) -> ServiceError:
-    return ServiceError(
-        {
-            "kind": kind,
-            "message": message,
-            "context": {"stage": kind},
-            "cause": None,
-        }
-    )
+    return ServiceError(_error_payload(kind, message))
 
 
 class ServiceClient:

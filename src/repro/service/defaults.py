@@ -18,6 +18,8 @@ request (protocol fields).
 
 from __future__ import annotations
 
+import os
+
 # -- addresses ---------------------------------------------------------------
 
 #: Daemons bind, and clients connect, loopback-only unless told otherwise.
@@ -35,8 +37,17 @@ QUEUE_LIMIT = 32
 #: ``thread`` or ``process``; process is the crash-isolated supervised tier.
 WORKER_MODE = "process"
 #: Worker count for ``--worker-mode thread`` (process mode defaults to
-#: one worker per scheduler-visible core instead).
+#: one worker per scheduler-visible core instead: :func:`usable_cpus`).
 THREAD_WORKERS = 2
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may actually use (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
 #: In-memory artifact budget (bytes): 64 MiB.
 CACHE_BYTES = 64 * 1024 * 1024
 #: Lock shards inside :class:`~repro.service.cache.ArtifactCache`.

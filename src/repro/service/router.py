@@ -115,8 +115,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import defaults
-from .client import ServiceClient, ServiceError
-from .server import _error_payload
+from .client import ServiceClient, ServiceError, _error_payload
 
 #: Forwarding failures that mean "the backend did not answer" — only
 #: these trigger failover; everything else is a real answer.

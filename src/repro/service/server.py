@@ -110,17 +110,20 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..compiler import param_slots
 from ..interp.machine import FunctionImage, ProgramImage
 from ..interp.serialize import dumps_image
+from ..resilience.config import PipelineConfig
 from ..resilience.errors import StageError
 from ..resilience.fallback import FallbackEvent, chain_for
-from ..resilience.pipeline import PassPipeline, PipelineConfig
 from ..resilience.telemetry import MetricsCollector
 from . import defaults
 from .cache import ArtifactCache, cache_key, key_components
+from .client import _error_payload
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only where compiles run
+    from ..resilience.pipeline import PassPipeline
 
 #: (deadline ceiling in ms, starting rung).  Scanned in order; the first
 #: ceiling the deadline fits under wins.  No deadline, or one above every
@@ -173,17 +176,6 @@ def rung_for_deadline(
                 f"{requested} is already that cheap"
             )
     return requested, f"deadline {deadline_ms:.0f}ms: generous, full {requested}"
-
-
-def _error_payload(kind: str, message: str, **extra: Any) -> Dict[str, Any]:
-    """A frozen-StageError-shaped payload for non-pipeline failures, so
-    clients handle every error through one code path."""
-    return {
-        "kind": kind,
-        "message": message,
-        "context": {"stage": kind, "extra": extra} if extra else {"stage": kind},
-        "cause": None,
-    }
 
 
 @dataclass(order=True)
@@ -323,6 +315,8 @@ def compile_cold(
     serialized image under ``"_blob"``; raises :class:`StageError` when
     every ladder rung below the starting one fails.
     """
+    from ..compiler import param_slots
+
     prog = pipeline.compile(
         spec["source"], filename=spec.get("filename") or "<request>"
     )
@@ -407,6 +401,8 @@ class CompileService:
     ):
         if worker_mode not in ("thread", "process"):
             raise ValueError(f"unknown worker_mode {worker_mode!r}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self.config = config or PipelineConfig()
         # `cache or ...` would discard a provided cache: an *empty*
         # ArtifactCache is falsy (it has __len__).
@@ -758,6 +754,8 @@ class CompileService:
     # -- workers --------------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        from ..resilience.pipeline import PassPipeline
+
         pipeline = PassPipeline(self.config)
         while not self._stop.is_set():
             job = self.queue.take(timeout=0.05)
@@ -1153,7 +1151,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro serve``: run the daemon until SIGTERM/SIGINT."""
-    args = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     cache_kwargs: Dict[str, Any] = {}
     if args.cache_bytes is not None:
@@ -1165,9 +1166,7 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
     workers = args.workers
     if workers is None:
         if args.worker_mode == "process":
-            from ..bench.parallel import default_jobs
-
-            workers = default_jobs()
+            workers = defaults.usable_cpus()
         else:
             workers = defaults.THREAD_WORKERS
     from .workers import Supervision

@@ -63,10 +63,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, TYPE_CHECKING
 
+from ..resilience.config import PipelineConfig
 from ..resilience.errors import StageError
-from ..resilience.pipeline import PassPipeline, PipelineConfig
 from ..resilience.telemetry import MetricsCollector
 from . import defaults
+from .client import _error_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from .server import CompileService, PreparedJob
@@ -139,7 +140,12 @@ def _worker_child_main(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    from .server import _error_payload, compile_cold
+    # Only children compile, so only children import the compiler: the
+    # daemon never holds it, and each child loads it once, here, rather
+    # than inside its first job's watchdog budget.
+    from .. import compiler, regalloc  # noqa: F401
+    from ..resilience.pipeline import PassPipeline
+    from .server import compile_cold
 
     pipeline = PassPipeline(config)
     while True:
@@ -294,8 +300,6 @@ class _WorkerSlot:
     def _answer(self, job) -> Dict[str, Any]:
         """Exactly one typed response for one claimed job, whatever
         happens — the invariant every other guarantee leans on."""
-        from .server import _error_payload
-
         service = self.supervisor.service
         try:
             if job.deadline_at < time.monotonic():
@@ -384,8 +388,6 @@ class _WorkerSlot:
 
     def _on_timeout(self, prepared: "PreparedJob") -> Dict[str, Any]:
         """Watchdog fired: SIGKILL the child, answer ``worker-timeout``."""
-        from .server import _error_payload
-
         service = self.supervisor.service
         pid = self.process.pid if self.process is not None else None
         timeout_s = self.supervisor.supervision.job_timeout_s
@@ -410,8 +412,6 @@ class _WorkerSlot:
 
     def _on_crash(self, prepared: "PreparedJob") -> Dict[str, Any]:
         """Child died mid-job: answer ``worker-crash``, note the strike."""
-        from .server import _error_payload
-
         service = self.supervisor.service
         process = self.process
         pid = process.pid if process is not None else None
@@ -468,15 +468,16 @@ class ProcessWorkerSupervisor:
         self.service = service
         self.supervision = supervision
         self.chaos_enabled = chaos_enabled
-        # fork: cheap respawns and no re-import; the children only ever
-        # compute and talk to their pipe.  Falls back to the platform
-        # default where fork does not exist.
+        # fork: cheap respawns that inherit the daemon's modules; a
+        # child imports only the compile stack, once (about 0.1 s).  The
+        # children only ever compute and talk to their pipe.  Falls back
+        # to the platform default where fork does not exist.
         methods = multiprocessing.get_all_start_methods()
         self.ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
         self._slots: List[_WorkerSlot] = [
-            _WorkerSlot(self, index) for index in range(max(1, workers))
+            _WorkerSlot(self, index) for index in range(workers)
         ]
         self._failures: Deque[float] = deque()
         self._failure_kinds: Dict[str, int] = {}

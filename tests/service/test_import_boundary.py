@@ -1,0 +1,101 @@
+"""Serving processes never load the compiler: only a worker child does.
+
+The test process has imported the whole stack long before these tests
+run, so each check runs its scenario in a fresh interpreter and reads
+back that interpreter's ``sys.modules``.  Keeping the compiler out of
+the daemon is also what keeps the fork safe: the child imports only
+modules its parent never held an import lock on.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: The compile stack: what the router and the daemon must not import.
+COMPILER = (
+    "repro.frontend",
+    "repro.ir.builder",
+    "repro.pdg.linearize",
+    "repro.cfg",
+    "repro.ssa",
+    "repro.regalloc",
+    "repro.compiler",
+    "repro.resilience.pipeline",
+    "repro.resilience.validators",
+    "repro.interp.pycompile",
+    "repro.interp.decode",
+    "repro.bench",
+)
+
+FLEET = """
+import json, sys, threading
+from repro.service.router import RouterService
+from repro.service.server import CompileServer, CompileService
+from repro.service.workers import Supervision
+
+service = CompileService(
+    workers=1, worker_mode="process", chaos_enabled=True,
+    supervision=Supervision(backoff_base_s=0.01),
+)
+server = CompileServer(("127.0.0.1", 0), service)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+router = RouterService([server.server_address[:2]])
+
+def compile(tag, **extra):
+    request = {"op": "compile", "allocator": "rap", "k": 5,
+               "source": "void main() { print(%d); }" % tag}
+    request.update(extra)
+    response = router.handle(request)
+    return response.get("output") or response["error"]["kind"]
+
+answers = [compile(1), compile(2, chaos="crash"), compile(3)]
+router.stop()
+server.drain_and_shutdown(timeout=10.0)
+server.server_close()
+print(json.dumps({"answers": answers, "modules": sorted(sys.modules)}))
+"""
+
+
+def _run(script):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _compiler_modules(modules):
+    return sorted(
+        name
+        for name in modules
+        if any(name == root or name.startswith(root + ".") for root in COMPILER)
+    )
+
+
+def test_daemon_and_router_serve_without_the_compiler():
+    result = _run(FLEET)
+    # compiled, crashed the worker, compiled again on the respawned one
+    assert result["answers"] == [[1], "worker-crash", [3]]
+    assert _compiler_modules(result["modules"]) == []
+
+
+def test_router_import_loads_neither_compiler_nor_workers():
+    result = _run(
+        "import json, sys\n"
+        "import repro.service.router\n"
+        "print(json.dumps({'modules': sorted(sys.modules)}))\n"
+    )
+    modules = result["modules"]
+    assert _compiler_modules(modules) == []
+    assert "repro.service.workers" not in modules
+    assert "repro.service.server" not in modules
+    assert "multiprocessing" not in modules

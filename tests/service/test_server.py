@@ -1,8 +1,12 @@
 """The compile daemon: cache semantics, deadline policy, admission
 control, error transport, drain, and the TCP layer."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -486,3 +490,28 @@ class TestTCPLayer:
         with self._client(server) as two:
             response = two.compile(TRIVIAL, k=4)
         assert response["cache"] == "hit"
+
+
+class TestWorkerCount:
+    """Zero workers would admit compiles that nothing ever answers."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_service_rejects_zero_workers(self, mode):
+        with pytest.raises(ValueError, match="at least 1"):
+            CompileService(workers=0, worker_mode=mode)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_serve_rejects_zero_workers(self, mode):
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--worker-mode", mode, "--workers", "0",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode == 2
+        assert "--workers must be at least 1" in done.stderr
