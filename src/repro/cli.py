@@ -23,7 +23,7 @@ Usage (``python -m repro ...``):
     python -m repro replay artifacts/<bundle>      # re-run a triage bundle
     python -m repro faults                         # list fault probe points
     python -m repro serve --port 9363              # compile-as-a-service daemon
-    python -m repro serve --worker-mode process --job-timeout 30  # supervised
+    python -m repro serve --workers 2 --job-timeout 30  # 2 supervised children
     python -m repro request prog.mc --deadline-ms 200 --retries 3
     python -m repro router --backend 127.0.0.1:9363 --backend 127.0.0.1:9364
     python -m repro router-admin drain 127.0.0.1:9363   # rolling-restart step

@@ -34,11 +34,9 @@ ROUTER_PORT = 9362
 
 #: Bounded earliest-deadline-first admission queue depth.
 QUEUE_LIMIT = 32
-#: ``thread`` or ``process``; process is the crash-isolated supervised tier.
+#: The one worker mode, crash-isolated supervised child processes;
+#: ``serve --worker-mode`` still accepts it.
 WORKER_MODE = "process"
-#: Worker count for ``--worker-mode thread`` (process mode defaults to
-#: one worker per scheduler-visible core instead: :func:`usable_cpus`).
-THREAD_WORKERS = 2
 
 
 def usable_cpus() -> int:

@@ -566,8 +566,7 @@ def _drill_mix(programs: Sequence[str]) -> List[Tuple[str, str]]:
 
 
 def _spawn_backend(host: str, port: int) -> "subprocess.Popen":
-    """One ``repro serve`` daemon as a child process (thread workers:
-    the drill exercises replication, not crash isolation)."""
+    """One ``repro serve`` daemon as a child process."""
     import os
     import subprocess
     from pathlib import Path
@@ -585,7 +584,7 @@ def _spawn_backend(host: str, port: int) -> "subprocess.Popen":
         [
             sys.executable, "-m", "repro", "serve",
             "--host", host, "--port", str(port),
-            "--worker-mode", "thread", "--workers", "2",
+            "--workers", "2",
         ],
         env=env,
         stdout=subprocess.DEVNULL,

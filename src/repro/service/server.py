@@ -14,8 +14,7 @@ hold open for many requests.  Operations:
     Cache counters, the server-lifetime per-stage telemetry aggregate
     (:class:`~repro.resilience.telemetry.MetricsCollector`), the
     service health state (``healthy`` / ``degraded`` / ``draining``),
-    and — under process workers — the supervisor's per-worker
-    restart/kill/crash accounting.
+    and the supervisor's per-worker restart/kill/crash accounting.
 ``{"op": "ping"}``
     Liveness.
 ``{"op": "cache-get", "key": ...}``
@@ -52,22 +51,19 @@ deaths) use the same payload shape with synthetic kinds ``admission`` /
 ``poison-pill`` (see docs/ROBUSTNESS.md for the full failure-mode
 matrix).
 
-Worker tiers
-------------
+Workers
+-------
 
-``worker_mode="thread"`` runs compiles on daemon threads inside the
-server process — cheap, but a hung compile wedges its queue slot for
-good and shares the GIL with every other request.
-``worker_mode="process"`` (the ``serve`` default) runs each worker as a
-supervised child **process** (:mod:`repro.service.workers`): a per-job
-wall-clock watchdog SIGKILLs a hung worker and answers the job with a
-typed ``worker-timeout`` error, a crashed worker (nonzero exit, killed
-by the OS) answers its job with ``worker-crash`` and is respawned under
+Compiles never run in the server process.  Each worker is a supervised
+child **process** (:mod:`repro.service.workers`): a per-job wall-clock
+watchdog SIGKILLs a hung worker and answers the job with a typed
+``worker-timeout`` error, a crashed worker (nonzero exit, killed by the
+OS) answers its job with ``worker-crash`` and is respawned under
 exponential backoff, and a restart storm flips the service ``degraded``
 — quarantining the offending compile key as a poison pill and demoting
-new work to cheaper ladder rungs — instead of crash-looping.  Both
-modes sit behind the same admission queue and artifact cache, and both
-answer every admitted request exactly once.
+new work to cheaper ladder rungs — instead of crash-looping.  The
+workers sit behind the admission queue and artifact cache, and every
+admitted request is answered exactly once.
 
 Admission and deadlines
 -----------------------
@@ -79,7 +75,9 @@ job whose absolute deadline is earliest (deadline-less jobs sort last,
 FIFO among themselves), so under saturation a tight-deadline request
 overtakes queued generous ones instead of starving behind them.  A job
 whose deadline has already passed when a worker picks it up is answered
-with a ``deadline`` error without running any compiler stage.
+with a ``deadline`` error without running any compiler stage.  A
+``deadline_ms`` that is not a finite number is refused before admission
+with a ``request`` error.
 
 The deadline also picks the *starting rung* of the allocator ladder
 (:data:`DEFAULT_RUNG_POLICY`): a tight deadline goes straight to linear
@@ -103,6 +101,7 @@ import argparse
 import hashlib
 import heapq
 import json
+import math
 import os
 import signal
 import socketserver
@@ -263,9 +262,9 @@ class DeadlineQueue:
 class PreparedJob:
     """A validated compile request, planned and ready for a worker.
 
-    Everything a worker (thread or child process) needs to run the cold
-    path, plus the parent-side bookkeeping (cache key, rung decision,
-    admission timestamp) used to assemble the response.  Frozen and
+    Everything a worker child needs to run the cold path, plus the
+    parent-side bookkeeping (cache key, rung decision, admission
+    timestamp) used to assemble the response.  Frozen and
     plain-data so it ships over a process pipe unchanged.
     """
 
@@ -309,11 +308,11 @@ def compile_cold(
 ) -> Dict[str, Any]:
     """Full parse -> ... -> allocate (ladder walk) [-> execute].
 
-    Shared by both worker tiers: thread workers call it in-process,
-    process workers call it inside the child
-    (:mod:`repro.service.workers`).  Returns the response body with the
-    serialized image under ``"_blob"``; raises :class:`StageError` when
-    every ladder rung below the starting one fails.
+    Runs inside the worker child (:mod:`repro.service.workers`); called
+    in-process it is the reference a served compile must match.
+    Returns the response body with the serialized image under
+    ``"_blob"``; raises :class:`StageError` when every ladder rung below
+    the starting one fails.
     """
     from ..compiler import param_slots
 
@@ -374,14 +373,12 @@ def compile_cold(
 class CompileService:
     """The daemon's engine, socket-free (the TCP layer is below).
 
-    ``workers`` threads (``worker_mode="thread"``) or supervised child
-    processes (``worker_mode="process"``) pull from the deadline queue;
-    each owns a :class:`PassPipeline` (pipelines keep no cross-request
-    state beyond the config, but the per-worker instance keeps the
-    metrics swap race-free).  ``worker_delay_s`` injects a fixed per-job
+    ``workers`` supervised child processes (default: one per usable
+    core) pull from the deadline queue; each owns a
+    :class:`PassPipeline`.  ``worker_delay_s`` injects a fixed per-job
     stall — a chaos/load-testing knob used by the saturation tests and
-    soak runs, zero in production.  ``supervision`` tunes the process
-    tier's watchdog/backoff/circuit-breaker parameters
+    soak runs, zero in production.  ``supervision`` tunes the workers'
+    watchdog/backoff/circuit-breaker parameters
     (:class:`repro.service.workers.Supervision`); ``chaos_enabled``
     makes worker processes honor the ``chaos`` request field
     (deliberate crash/hang probes — never enable outside a chaos run).
@@ -391,16 +388,15 @@ class CompileService:
         self,
         config: Optional[PipelineConfig] = None,
         cache: Optional[ArtifactCache] = None,
-        workers: int = defaults.THREAD_WORKERS,
+        workers: Optional[int] = None,
         queue_limit: int = defaults.QUEUE_LIMIT,
         rung_policy: Sequence[Tuple[float, str]] = DEFAULT_RUNG_POLICY,
         worker_delay_s: float = 0.0,
-        worker_mode: str = "thread",
         supervision: Optional["Supervision"] = None,
         chaos_enabled: bool = False,
     ):
-        if worker_mode not in ("thread", "process"):
-            raise ValueError(f"unknown worker_mode {worker_mode!r}")
+        if workers is None:
+            workers = defaults.usable_cpus()
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.config = config or PipelineConfig()
@@ -410,7 +406,6 @@ class CompileService:
         self.queue = DeadlineQueue(queue_limit)
         self.rung_policy = tuple(rung_policy)
         self.worker_delay_s = worker_delay_s
-        self.worker_mode = worker_mode
         self.chaos_enabled = chaos_enabled
         if supervision is None:
             from .workers import Supervision
@@ -420,7 +415,6 @@ class CompileService:
         self.metrics = MetricsCollector()
         self._metrics_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
         self._supervisor = None
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -439,18 +433,6 @@ class CompileService:
         self._cache_gets = 0
         self._cache_puts = 0
         self._load_quarantine()
-        #: parent fds worker children must close at birth (the TCP
-        #: listener, registered by serve()) — see workers.py on why an
-        #: inherited listener copy is a real failure mode, not hygiene.
-        self._child_close_fds: set = set()
-
-    def close_fds_in_workers(self, *fds: int) -> None:
-        """Register parent fds (e.g. the server's listening socket) that
-        every process-tier worker child must close at birth.  No-op
-        under thread workers."""
-        self._child_close_fds.update(int(fd) for fd in fds)
-        if self._supervisor is not None:
-            self._supervisor.close_fds_in_children(*fds)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -458,33 +440,23 @@ class CompileService:
         if self._started:
             return
         self._started = True
-        if self.worker_mode == "process":
-            from .workers import ProcessWorkerSupervisor
+        from .workers import ProcessWorkerSupervisor
 
-            self._supervisor = ProcessWorkerSupervisor(
-                self,
-                workers=self._workers,
-                supervision=self.supervision,
-                chaos_enabled=self.chaos_enabled,
-            )
-            self._supervisor.close_fds_in_children(*self._child_close_fds)
-            self._supervisor.start()
-            return
-        for index in range(self._workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"compile-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._supervisor = ProcessWorkerSupervisor(
+            self,
+            workers=self._workers,
+            supervision=self.supervision,
+            chaos_enabled=self.chaos_enabled,
+        )
+        self._supervisor.start()
 
     def drain(self, timeout: float = 30.0) -> None:
         """Stop admitting, finish queued and in-flight work, stop workers.
 
-        Under process workers this also reaps every child: in-flight
-        compiles run to completion (or their watchdog), queued jobs are
-        answered, then each worker process is shut down and joined — no
-        zombies survive a drain.
+        This also reaps every child: in-flight compiles run to
+        completion (or their watchdog), queued jobs are answered, then
+        each worker process is shut down and joined — no zombies survive
+        a drain.
         """
         self._draining.set()
         deadline = time.monotonic() + timeout
@@ -494,9 +466,6 @@ class CompileService:
         if self._supervisor is not None:
             self._supervisor.stop(deadline)
             self._supervisor = None
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()) + 1.0)
-        self._threads = []
         self._started = False
 
     @property
@@ -507,9 +476,9 @@ class CompileService:
     def health(self) -> str:
         """``healthy`` / ``degraded`` / ``draining``.
 
-        ``degraded`` is the process tier's restart-storm circuit
-        breaker: too many worker deaths inside the storm window.  It
-        clears itself once the window passes without a new death — the
+        ``degraded`` is the supervisor's restart-storm circuit breaker:
+        too many worker deaths inside the storm window.  It clears
+        itself once the window passes without a new death — the
         "backoff recovery" the chaos harness asserts.
         """
         if self._draining.is_set():
@@ -616,6 +585,15 @@ class CompileService:
                 "ok": False,
                 "error": _error_payload("request", f"unknown op {op!r}"),
             }
+        deadline_ms = request.get("deadline_ms")
+        if deadline_ms is not None and not _finite_number(deadline_ms):
+            return {
+                "ok": False,
+                "error": _error_payload(
+                    "request",
+                    f"deadline_ms must be a finite number, got {deadline_ms!r}",
+                ),
+            }
         if self._draining.is_set():
             self.count("rejected")
             return {
@@ -624,7 +602,6 @@ class CompileService:
                     "admission", "server is draining", draining=True
                 ),
             }
-        deadline_ms = request.get("deadline_ms")
         deadline_at = (
             float("inf")
             if deadline_ms is None
@@ -751,49 +728,7 @@ class CompileService:
             )
         return {"ok": True, "op": "cache-keys", "keys": listing}
 
-    # -- workers --------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        from ..resilience.pipeline import PassPipeline
-
-        pipeline = PassPipeline(self.config)
-        while not self._stop.is_set():
-            job = self.queue.take(timeout=0.05)
-            if job is None:
-                continue
-            if not job.claim():
-                # Tombstoned by a timed-out submitter: skip without
-                # running a single compiler stage.
-                self.count("orphaned_skipped")
-                continue
-            if self.worker_delay_s:
-                time.sleep(self.worker_delay_s)
-            if job.deadline_at < time.monotonic():
-                self.count("expired")
-                job.finish(
-                    {
-                        "ok": False,
-                        "error": _error_payload(
-                            "deadline", "deadline expired while queued"
-                        ),
-                    }
-                )
-                self.count("answered")
-                continue
-            try:
-                job.finish(self._process(pipeline, job.request))
-            except Exception as err:  # the worker must never die
-                job.finish(
-                    {
-                        "ok": False,
-                        "error": _error_payload(
-                            "request", f"{type(err).__name__}: {err}"
-                        ),
-                    }
-                )
-            self.count("answered")
-
-    # -- request planning (shared by both worker tiers) ------------------------
+    # -- request planning -----------------------------------------------------
 
     def prepare(
         self, request: Dict[str, Any], demote: bool = False
@@ -970,32 +905,9 @@ class CompileService:
 
     def merge_stage_metrics(self, stages: Dict[str, Any]) -> None:
         """Fold one job's stage metrics into the server-lifetime
-        aggregate (called by both worker tiers)."""
+        aggregate."""
         with self._metrics_lock:
             self.metrics.merge(stages)
-
-    def _process(
-        self, pipeline: PassPipeline, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Thread-tier request body: plan, then cold-compile in-process."""
-        response, prepared = self.prepare(request)
-        if response is not None:
-            return response
-        assert prepared is not None
-        collector = MetricsCollector()
-        pipeline.metrics = collector
-        try:
-            body = compile_cold(pipeline, prepared.spec())
-        except StageError as err:
-            return self.assemble_error_response(
-                prepared, err.freeze(), sorted(collector.stages)
-            )
-        finally:
-            pipeline.metrics = None
-            self.merge_stage_metrics(collector.stages)
-        return self.assemble_cold_response(
-            prepared, body, collector.stages, telemetry=collector.as_dict()
-        )
 
     # -- stats ----------------------------------------------------------------
 
@@ -1026,7 +938,6 @@ class CompileService:
             "cache_puts": self._cache_puts,
             "queue_depth": len(self.queue),
             "workers": self._workers,
-            "worker_mode": self.worker_mode,
             "health": self.health,
             "draining": self.draining,
             "poison_strikes": strikes,
@@ -1039,6 +950,16 @@ class CompileService:
 
 def _sha256_hex(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def _finite_number(value: Any) -> bool:
+    """A finite int or float — not a bool, string, list or NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to become a float
+        return False
 
 
 # ----------------------------------------------------------------------------
@@ -1104,17 +1025,16 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=defaults.PORT)
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker count (default: one per core for --worker-mode "
-             f"process, {defaults.THREAD_WORKERS} for threads)",
+        help="worker processes (default: one per usable core)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=defaults.QUEUE_LIMIT
     )
     parser.add_argument(
-        "--worker-mode", choices=("thread", "process"),
+        "--worker-mode", choices=(defaults.WORKER_MODE,),
         default=defaults.WORKER_MODE,
-        help=f"{defaults.WORKER_MODE} (default): crash-isolated "
-             "supervised children; thread: in-process daemon threads",
+        help=f"{defaults.WORKER_MODE} (the only mode): crash-isolated "
+             "supervised children",
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
@@ -1163,12 +1083,6 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         cache_kwargs["shards"] = args.cache_shards
     if args.persist_dir is not None:
         cache_kwargs["persist_dir"] = args.persist_dir
-    workers = args.workers
-    if workers is None:
-        if args.worker_mode == "process":
-            workers = defaults.usable_cpus()
-        else:
-            workers = defaults.THREAD_WORKERS
     from .workers import Supervision
 
     supervision = Supervision(
@@ -1183,17 +1097,15 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
     )
     service = CompileService(
         cache=ArtifactCache(**cache_kwargs),
-        workers=workers,
+        workers=args.workers,
         queue_limit=args.queue_limit,
-        worker_mode=args.worker_mode,
         supervision=supervision,
         chaos_enabled=args.chaos,
     )
     server = CompileServer((args.host, args.port), service)
-    service.close_fds_in_workers(server.fileno())
     host, port = server.server_address[:2]
     print(f"repro service listening on {host}:{port} "
-          f"({workers} {args.worker_mode} workers, "
+          f"({service._workers} {args.worker_mode} workers, "
           f"queue {args.queue_limit}"
           f"{', CHAOS ENABLED' if args.chaos else ''})", flush=True)
 

@@ -1,8 +1,7 @@
-"""Supervised process-pool worker tier for the compile service.
+"""Supervised process-pool workers for the compile service.
 
 :class:`ProcessWorkerSupervisor` runs each compile worker as a child
-**process** instead of a daemon thread, which buys two things the thread
-tier cannot provide:
+**process**, which buys two things in-process compiling cannot provide:
 
 * **crash isolation** — an allocator bug, an OOM kill, or a deliberate
   chaos probe takes down one child, not the daemon.  The job that was
@@ -57,6 +56,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import stat
 import threading
 import time
 from collections import deque
@@ -108,8 +108,39 @@ class Supervision:
 # ----------------------------------------------------------------------------
 
 
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket fd this child inherited, except ``keep``.
+
+    Fork copies every parent fd into the child: its own pipe's *parent*
+    end, sibling slots' pipe ends, every listening socket in the daemon
+    process (more than one when several servers share it), and open
+    client connections.  Holding them is not harmless hygiene debt — a
+    child that keeps its own parent end open never sees EOF when the
+    daemon is killed, so it blocks in recv() forever, and an inherited
+    listener copy keeps a dead daemon's port accepting connections
+    nobody will ever serve (clients hang instead of getting
+    ECONNREFUSED).  A worker child talks only to its own pipe end, so
+    it drops every other socket; fds 0-2 and non-socket fds (the
+    multiprocessing sentinel is a plain pipe) are kept.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    try:
+        names = os.listdir(fd_dir)
+    except OSError:  # no fd directory on this platform: nothing to do
+        return
+    for name in names:
+        fd = int(name)
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own directory fd, now closed
+            pass
+
+
 def _worker_child_main(
-    conn, config: PipelineConfig, chaos_enabled: bool, close_fds=()
+    conn, config: PipelineConfig, chaos_enabled: bool
 ) -> None:
     """Child body: receive job specs, compile cold, send results.
 
@@ -117,23 +148,9 @@ def _worker_child_main(
     closes (parent died), or the watchdog SIGKILLs us.  Every result is
     plain picklable data; pipeline failures cross as frozen
     ``StageError`` payloads, other exceptions as ``request``-kind
-    payloads — exactly what the thread tier produces, so responses are
-    mode-independent.
+    payloads.
     """
-    # Fork copies every parent fd into the child: our own pipe's
-    # *parent* end, sibling slots' pipe ends, and the server's listening
-    # socket.  Holding them is not harmless hygiene debt — a child that
-    # keeps its own parent-end open can never see EOF when the daemon is
-    # killed, so it blocks in recv() forever, and its inherited listener
-    # copy keeps the dead daemon's port accepting connections nobody
-    # will ever serve (clients hang instead of getting ECONNREFUSED).
-    # The spawner passes the current set; close them before anything
-    # else.
-    for fd in close_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
+    _close_inherited_sockets(conn.fileno())
     # The parent's SIGTERM/SIGINT handlers (the serve() drain path) are
     # inherited across fork; a signal aimed at the process group must
     # not make children run the parent's drain logic.
@@ -170,7 +187,7 @@ def _worker_child_main(
             result = {"status": "ok", "body": body}
         except StageError as err:
             result = {"status": "error", "error": err.freeze()}
-        except Exception as err:  # parity with the thread tier's catch-all
+        except Exception as err:  # a bad request must not kill the child
             result = {
                 "status": "error",
                 "error": _error_payload(
@@ -232,12 +249,7 @@ class _WorkerSlot:
         parent_conn, child_conn = self.supervisor.ctx.Pipe(duplex=True)
         process = self.supervisor.ctx.Process(
             target=_worker_child_main,
-            args=(
-                child_conn,
-                service.config,
-                service.chaos_enabled,
-                self.supervisor.child_close_fds(parent_conn),
-            ),
+            args=(child_conn, service.config, service.chaos_enabled),
             name=f"compile-worker-proc-{self.index}",
             daemon=True,
         )
@@ -482,30 +494,6 @@ class ProcessWorkerSupervisor:
         self._failures: Deque[float] = deque()
         self._failure_kinds: Dict[str, int] = {}
         self._failure_lock = threading.Lock()
-        self._external_child_fds: set = set()
-
-    # -- child fd hygiene ----------------------------------------------------
-
-    def close_fds_in_children(self, *fds: int) -> None:
-        """Register parent fds (e.g. the server's listening socket) that
-        every future child must close at birth.  Children forked before
-        a registration keep their copies — register before traffic."""
-        self._external_child_fds.update(int(fd) for fd in fds)
-
-    def child_close_fds(self, own_parent_conn) -> List[int]:
-        """The fd list a child being spawned right now must close: the
-        registered external fds, its own pipe's parent end, and every
-        sibling slot's live parent end.  A racing sibling close is
-        benign — the child closes only its inherited *copies*."""
-        fds = set(self._external_child_fds)
-        for conn in [own_parent_conn] + [slot.conn for slot in self._slots]:
-            if conn is None:
-                continue
-            try:
-                fds.add(conn.fileno())
-            except (OSError, ValueError):
-                pass
-        return sorted(fds)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -550,10 +538,6 @@ class ProcessWorkerSupervisor:
         with self._failure_lock:
             self._prune(time.monotonic())
             return len(self._failures) >= self.supervision.storm_threshold
-
-    @property
-    def health(self) -> str:
-        return "degraded" if self.degraded else "healthy"
 
     # -- accounting ----------------------------------------------------------
 

@@ -34,8 +34,8 @@ def start_server(service):
 class TestChaosLoadgen:
     def test_chaos_run_is_fully_answered_and_deterministic(self):
         # Reference: the same request stream against a chaos-free
-        # thread-tier server, for the byte-identity comparison.
-        reference_service = CompileService(workers=2, worker_mode="thread")
+        # server, for the byte-identity comparison.
+        reference_service = CompileService(workers=2)
         server, port = start_server(reference_service)
         try:
             reference = run_loadgen(
@@ -46,7 +46,7 @@ class TestChaosLoadgen:
             server.server_close()
         assert reference.errors == 0 and reference.mismatches == 0
 
-        # Chaos: process tier with a tight watchdog, probes interleaved.
+        # Chaos: a tight watchdog, probes interleaved.
         supervision = Supervision(
             job_timeout_s=1.5,
             backoff_base_s=0.01,
@@ -57,7 +57,6 @@ class TestChaosLoadgen:
         )
         service = CompileService(
             workers=2,
-            worker_mode="process",
             supervision=supervision,
             chaos_enabled=True,
         )
@@ -118,7 +117,6 @@ class TestChaosLoadgen:
     def test_chaos_probes_do_not_poison_the_normal_mix(self):
         service = CompileService(
             workers=1,
-            worker_mode="process",
             supervision=Supervision(
                 job_timeout_s=1.5,
                 backoff_base_s=0.01,

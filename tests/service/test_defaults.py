@@ -83,7 +83,8 @@ class TestServerPolicy:
 
     def test_service_signature(self):
         sig = _signature_defaults(CompileService.__init__)
-        assert sig["workers"] == defaults.THREAD_WORKERS
+        assert sig["workers"] is None  # resolved to one per usable core
+        assert CompileService()._workers == defaults.usable_cpus()
         assert sig["queue_limit"] == defaults.QUEUE_LIMIT
 
 

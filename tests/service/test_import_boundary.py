@@ -38,7 +38,7 @@ from repro.service.server import CompileServer, CompileService
 from repro.service.workers import Supervision
 
 service = CompileService(
-    workers=1, worker_mode="process", chaos_enabled=True,
+    workers=1, chaos_enabled=True,
     supervision=Supervision(backoff_base_s=0.01),
 )
 server = CompileServer(("127.0.0.1", 0), service)

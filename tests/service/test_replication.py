@@ -35,7 +35,6 @@ def _compile_request(source, tag="t"):
 
 def _start_backend(port=0, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("worker_mode", "thread")
     service = CompileService(**kwargs)
     server = CompileServer(("127.0.0.1", port), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -49,10 +48,25 @@ def _stop_backend(server):
     server.server_close()
 
 
+#: Services of hard-killed backends, reaped after each test.
+_KILLED = []
+
+
 def _kill_backend(server):
-    """Hard stop: no drain, sockets torn down — the failover scenario."""
+    """Hard stop: no drain, sockets torn down — the failover scenario.
+    The worker pool lives on until the test's assertions are done."""
     server.shutdown()
     server.server_close()
+    _KILLED.append(server.service)
+
+
+@pytest.fixture(autouse=True)
+def _reap_killed_backends():
+    """Drain every pool a test killed the listener of, so its worker
+    children do not outlive the test."""
+    yield
+    while _KILLED:
+        _KILLED.pop().drain(timeout=5.0)
 
 
 def _make_router(servers, replication=2, **kwargs):

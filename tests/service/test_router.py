@@ -25,7 +25,6 @@ SOURCES = [
 
 def _start_backend(**kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("worker_mode", "thread")
     service = CompileService(**kwargs)
     server = CompileServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -39,10 +38,25 @@ def _stop_backend(server):
     server.server_close()
 
 
+#: Services of hard-killed backends, reaped after each test.
+_KILLED = []
+
+
 def _kill_backend(server):
-    """Hard stop: no drain, sockets torn down — the failover scenario."""
+    """Hard stop: no drain, sockets torn down — the failover scenario.
+    The worker pool lives on until the test's assertions are done."""
     server.shutdown()
     server.server_close()
+    _KILLED.append(server.service)
+
+
+@pytest.fixture(autouse=True)
+def _reap_killed_backends():
+    """Drain every pool a test killed the listener of, so its worker
+    children do not outlive the test."""
+    yield
+    while _KILLED:
+        _KILLED.pop().drain(timeout=5.0)
 
 
 @pytest.fixture
@@ -148,16 +162,20 @@ class TestRouting:
         assert warm["image_sha256"] == cold["image_sha256"]
 
     def test_spread_across_backends(self, pair):
+        # The ring hashes the backends' ephemeral ports, so placement
+        # changes run to run: 8 keys all land on one of two backends in
+        # about 2% of port pairs, 16 keys in about 0.04%.
         router, _ = pair
         used = set()
         for i, source in enumerate(SOURCES):
-            response = router.handle(
-                {"op": "compile", "source": source, "allocator": "rap",
-                 "k": 5, "filename": f"t{i}"}
-            )
-            assert response["ok"]
-            used.add(response["backend"])
-        assert len(used) == 2  # 8 distinct keys land on both backends
+            for k in (3, 5):
+                response = router.handle(
+                    {"op": "compile", "source": source, "allocator": "rap",
+                     "k": k, "filename": f"t{i}"}
+                )
+                assert response["ok"]
+                used.add(response["backend"])
+        assert len(used) == 2  # 16 distinct keys land on both backends
 
     def test_server_answered_errors_pass_through(self, pair):
         router, _ = pair
@@ -166,6 +184,23 @@ class TestRouting:
         )
         assert not response["ok"]
         assert response["error"]["kind"] == "request"  # not no-backend
+
+    def test_malformed_deadline_is_a_request_error_not_no_backend(self, pair):
+        # A request that can never succeed must not look retryable, nor
+        # count as failovers against healthy backends.
+        router, _ = pair
+        for deadline in ("soon", [1]):
+            response = router.handle(
+                {"op": "compile", "source": SOURCES[0], "allocator": "rap",
+                 "k": 5, "deadline_ms": deadline}
+            )
+            assert not response["ok"]
+            assert response["error"]["kind"] == "request"
+            assert response["router_failovers"] == 0
+        assert all(
+            backend.snapshot()["failed"] == 0
+            for backend in router.backends.values()
+        )
 
     def test_stats_aggregation(self, pair):
         router, _ = pair

@@ -1,6 +1,7 @@
-"""The supervised process worker tier: crash isolation, the per-job
+"""The supervised process workers: crash isolation, the per-job
 watchdog, respawn backoff, the restart-storm circuit breaker, poison-pill
-quarantine, zombie-free drain, and no-orphans-after-SIGKILL."""
+quarantine, zombie-free drain, inherited-socket hygiene, and
+no-orphans-after-SIGKILL."""
 
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import time
 import pytest
 
 from repro.resilience.errors import StageError
-from repro.service.server import CompileService
+from repro.service.server import CompileServer, CompileService
 from repro.service.workers import Supervision
 
 TRIVIAL = "void main() { print(7); }"
@@ -37,7 +38,6 @@ def compile_request(source=TRIVIAL, **overrides):
 def make_service(**overrides):
     kwargs = dict(
         workers=1,
-        worker_mode="process",
         chaos_enabled=True,
         supervision=Supervision(
             job_timeout_s=2.0,
@@ -91,20 +91,40 @@ class TestProcessColdAndWarm:
         finally:
             service.drain(timeout=5.0)
 
-    def test_thread_and_process_tiers_agree_byte_for_byte(self):
-        proc = make_service()
-        threaded = CompileService(workers=1, worker_mode="thread")
-        threaded.start()
+    def test_served_compile_matches_in_process_reference(self):
+        # The reference is compile_cold run directly in this process, as
+        # perfbench's compile workload runs it.  It is built before the
+        # service starts, so no import is in flight when the child forks.
+        from repro.resilience.config import PipelineConfig
+        from repro.resilience.pipeline import PassPipeline
+        from repro.service.cache import cache_key
+        from repro.service.server import compile_cold
+
+        config = PipelineConfig()
+        reference = compile_cold(
+            PassPipeline(config),
+            {
+                "source": SIEVE_LIKE,
+                "rung": "rap",
+                "k": 6,
+                "schedule": False,
+                "execute": True,
+                "entry": "main",
+                "max_cycles": None,
+                "filename": "<request>",
+                "allocator_requested": "rap",
+                "chaos": None,
+            },
+        )
+        service = make_service()
         try:
-            a = proc.submit(compile_request(SIEVE_LIKE, k=6))
-            b = threaded.submit(compile_request(SIEVE_LIKE, k=6))
-            assert a["ok"] and b["ok"]
-            assert a["image_sha256"] == b["image_sha256"]
-            assert a["output"] == b["output"]
-            assert a["key"] == b["key"]
+            served = service.submit(compile_request(SIEVE_LIKE, k=6))
+            assert served["ok"] and served["cache"] == "miss"
+            assert served["image_sha256"] == reference["image_sha256"]
+            assert served["output"] == reference["output"]
+            assert served["key"] == cache_key(SIEVE_LIKE, "rap", 6, False, config)
         finally:
-            proc.drain(timeout=5.0)
-            threaded.drain(timeout=5.0)
+            service.drain(timeout=5.0)
 
     def test_stage_error_thaws_across_the_pipe(self):
         service = make_service()
@@ -325,10 +345,66 @@ class TestProcessDrain:
                 stats["requests"]
                 == stats["answered"] + stats["cancelled"] + stats["rejected"]
             )
-            assert stats["worker_mode"] == "process"
             assert "supervisor" in stats
         finally:
             service.drain(timeout=5.0)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+class TestInheritedSockets:
+    """A worker child keeps one socket: its own pipe end.
+
+    Two daemons in one process is the case a list of fds to close,
+    kept by the parent, gets wrong: B's child inherits A's listener, so
+    a hard-killed A keeps accepting connections nobody will serve.
+    """
+
+    @staticmethod
+    def _socket_fds(pid):
+        """The child's socket fds above the standard streams."""
+        fd_dir = f"/proc/{pid}/fd"
+        return sorted(
+            int(fd) for fd in os.listdir(fd_dir)
+            if int(fd) > 2
+            and os.readlink(f"{fd_dir}/{fd}").startswith("socket:")
+        )
+
+    def test_child_holds_only_its_pipe_and_a_killed_sibling_refuses(self):
+        from repro.service.client import ServiceClient
+
+        servers = [
+            CompileServer(("127.0.0.1", 0), CompileService(workers=1))
+            for _ in range(2)
+        ]
+        for server in servers:
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        a, b = servers
+        port_a = a.server_address[1]
+        try:
+            # A cold compile on B forks B's child while A's listener,
+            # B's listener and this client connection are all open.
+            with ServiceClient(*b.server_address[:2]) as client:
+                assert client.compile(
+                    SIEVE_LIKE, allocator="linearscan", k=4
+                )["ok"]
+                child = b.service._supervisor.stats()["workers"][0]["pid"]
+                assert len(self._socket_fds(child)) == 1
+
+            # Hard-kill A: no drain, its listener closed in this process.
+            a.shutdown()
+            a.server_close()
+            started = time.monotonic()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(
+                    ("127.0.0.1", port_a), timeout=1.0
+                ).close()
+            assert time.monotonic() - started < 1.0
+        finally:
+            for server in servers:
+                server.drain_and_shutdown(timeout=5.0)
+                server.server_close()
 
 
 @pytest.mark.skipif(
