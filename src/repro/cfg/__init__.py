@@ -3,7 +3,7 @@
 from .graph import CFG, BasicBlock
 from .liveness import LivenessResult, compute_liveness
 from .dominators import DominatorTree, natural_loops
-from .reachdefs import ENTRY_DEF, RegChains, chains_for
+from .reachdefs import RegChains, chains_for
 
 __all__ = [
     "CFG",
@@ -14,5 +14,4 @@ __all__ = [
     "natural_loops",
     "chains_for",
     "RegChains",
-    "ENTRY_DEF",
 ]

@@ -7,7 +7,8 @@ CFG) and — via the linearize-then-analyze trick described in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..ir.iloc import Instr, Op
 
@@ -40,7 +41,49 @@ class CFG:
         #: block containing each linear position (None for unreachable gaps
         #: never occurs: every position belongs to exactly one block).
         self.block_at: List[Optional[BasicBlock]] = []
+        self._rpo: Optional[List[BasicBlock]] = None
+        self._reachable: Optional[Set[int]] = None
         self._build()
+
+    @classmethod
+    def with_insertions(
+        cls, previous: "CFG", code: Sequence[Instr], gaps: Sequence[int]
+    ) -> Optional["CFG"]:
+        """The CFG of ``code``: ``previous.code`` with one non-branch,
+        non-label instruction inserted before each old position in
+        ``gaps`` (ascending, repeats allowed).
+
+        An instruction inserted before a label joins the block of the
+        instruction before it, so such insertions keep every block and
+        edge and only move block boundaries.  One that would lead a block
+        (at the very start, or right after a branch) changes the leaders;
+        then None is returned and the caller builds a fresh CFG.
+        """
+        old = previous.code
+        starts: List[int] = []
+        for block in previous.blocks:
+            start = block.start
+            before = bisect_left(gaps, start)
+            at = bisect_right(gaps, start) - before
+            if at and (start == 0 or old[start - 1].is_branch):
+                return None
+            starts.append(start + before + at)
+        cfg = cls.__new__(cls)
+        cfg.code = code
+        ends = starts[1:] + [len(code)]
+        cfg.blocks = [
+            BasicBlock(index, start, end)
+            for index, (start, end) in enumerate(zip(starts, ends))
+        ]
+        block_at: List[Optional[BasicBlock]] = []
+        for block, old_block in zip(cfg.blocks, previous.blocks):
+            block_at.extend([block] * (block.end - block.start))
+            block.succs = [cfg.blocks[succ.index] for succ in old_block.succs]
+            block.preds = [cfg.blocks[pred.index] for pred in old_block.preds]
+        cfg.block_at = block_at
+        cfg._rpo = [cfg.blocks[block.index] for block in previous.reverse_postorder()]
+        cfg._reachable = previous.reachable()
+        return cfg
 
     def entry_block(self) -> BasicBlock:
         return self.blocks[0]
@@ -63,10 +106,10 @@ class CFG:
             end = ordered[bi + 1] if bi + 1 < len(ordered) else n
             self.blocks.append(BasicBlock(bi, start, end))
 
-        self.block_at = [None] * n
+        block_at: List[Optional[BasicBlock]] = []
         for block in self.blocks:
-            for index in block.instr_indices():
-                self.block_at[index] = block
+            block_at.extend([block] * (block.end - block.start))
+        self.block_at = block_at
 
         def block_of_label(label: str) -> BasicBlock:
             return self.block_at[label_pos[label]]  # type: ignore[return-value]
@@ -92,7 +135,24 @@ class CFG:
                 succ.preds.append(block)
 
     def reverse_postorder(self) -> List[BasicBlock]:
-        """Blocks in reverse post-order from the entry block."""
+        """Blocks in reverse post-order from the entry block.
+
+        Computed once: the block structure never changes after
+        :meth:`_build`, so every call returns the same (shared, not to be
+        mutated) list.
+        """
+        if self._rpo is None:
+            self._rpo = self._compute_reverse_postorder()
+        return self._rpo
+
+    def reachable(self) -> Set[int]:
+        """Indices of the blocks reachable from the entry block (computed
+        once; shared, not to be mutated)."""
+        if self._reachable is None:
+            self._reachable = {block.index for block in self.reverse_postorder()}
+        return self._reachable
+
+    def _compute_reverse_postorder(self) -> List[BasicBlock]:
         seen = set()
         order: List[BasicBlock] = []
 

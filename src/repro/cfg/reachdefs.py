@@ -7,22 +7,16 @@ inside it.  That requires ud/du chains for the one register being
 spilled; this module computes them cheaply per register instead of a full
 all-registers bit-vector analysis.
 
-Function parameters are modelled as defined by a virtual *entry
-definition* (:data:`ENTRY_DEF`), so a spilled parameter is recognized as
-needing a store at function entry.
+Function parameters need no special case: the builder gives each one a
+real definition, the entry prologue's ``ldm`` from its argument slot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Union
+from typing import Dict, List, Sequence, Set
 
 from ..ir.iloc import Instr, Reg
 from .graph import CFG
-
-#: Sentinel def site: the register's value on function entry (parameters).
-ENTRY_DEF = "<entry>"
-
-DefSite = Union[Instr, str]
 
 
 class RegChains:
@@ -30,15 +24,14 @@ class RegChains:
 
     def __init__(self, reg: Reg):
         self.reg = reg
-        #: use instruction -> set of reaching def sites
-        self.ud: Dict[int, Set[DefSite]] = {}
+        #: use instruction id -> set of reaching definitions
+        self.ud: Dict[int, Set[Instr]] = {}
         self._use_instrs: Dict[int, Instr] = {}
-        #: def instruction id -> set of reached use instructions
+        #: def instruction id -> set of reached use instruction ids
         self.du: Dict[int, Set[int]] = {}
         self._def_instrs: Dict[int, Instr] = {}
-        self.entry_reaches_uses: Set[int] = set()
 
-    def defs_reaching(self, use: Instr) -> Set[DefSite]:
+    def defs_reaching(self, use: Instr) -> Set[Instr]:
         return self.ud.get(id(use), set())
 
     def uses_reached_by(self, definition: Instr) -> List[Instr]:
@@ -51,65 +44,64 @@ class RegChains:
         return list(self._def_instrs.values())
 
 
-def chains_for(cfg: CFG, reg: Reg, is_param: bool = False) -> RegChains:
-    """Compute ud/du chains of ``reg`` over ``cfg``."""
+def chains_for(cfg: CFG, reg: Reg) -> RegChains:
+    """Compute ud/du chains of ``reg`` over ``cfg`` (scanning the code for
+    its references)."""
+    positions = [
+        index
+        for index, instr in enumerate(cfg.code)
+        if instr.dst == reg or reg in instr.srcs
+    ]
+    return chains_at(cfg, reg, positions)
+
+
+def chains_at(cfg: CFG, reg: Reg, positions: Sequence[int]) -> RegChains:
+    """ud/du chains of ``reg`` given the ascending positions of its
+    references in ``cfg.code``; visits only those positions and the
+    blocks its definitions reach."""
     code = cfg.code
+    block_at = cfg.block_at
     chains = RegChains(reg)
 
-    # Block-level gen: the last def of reg in the block (if any).
-    n = len(cfg.blocks)
-    gen: List[Set[DefSite]] = [set() for _ in range(n)]
-    has_def: List[bool] = [False] * n
-    for block in cfg.blocks:
-        last: Set[DefSite] = set()
-        for index in block.instr_indices():
-            instr = code[index]
-            if reg in instr.defs:
-                last = {instr}
-                has_def[block.index] = True
-                chains._def_instrs[id(instr)] = instr
-        gen[block.index] = last
+    # One forward pass over the references: each use is reached by the
+    # last earlier definition in its block, or else by whatever reaches
+    # the block's entry (resolved below); ``gen`` ends as the last
+    # definition of each defining block.
+    gen: Dict[int, Instr] = {}
+    uses: List[tuple] = []
+    for index in positions:
+        instr = code[index]
+        block = block_at[index].index  # type: ignore[union-attr]
+        if reg in instr.srcs:
+            uses.append((instr, block, gen.get(block)))
+        if instr.dst == reg:
+            gen[block] = instr
+            chains._def_instrs[id(instr)] = instr
 
-    reach_in: List[Set[DefSite]] = [set() for _ in range(n)]
-    entry_index = cfg.entry_block().index
-    if is_param:
-        reach_in[entry_index] = {ENTRY_DEF}
+    # Forward propagation from the defining blocks.  Like the round-robin
+    # fixpoint over the reverse postorder it replaces, only reachable
+    # blocks receive definitions (an unreachable block's own definitions
+    # still flow into its successors).
+    reachable = cfg.reachable()
+    reach_in: Dict[int, Set[Instr]] = {}
+    work = sorted(gen)
+    while work:
+        index = work.pop()
+        out = {gen[index]} if index in gen else reach_in[index]
+        for succ in cfg.blocks[index].succs:
+            target = succ.index
+            if target not in reachable:
+                continue
+            into = reach_in.setdefault(target, set())
+            if not out <= into:
+                into |= out
+                if target not in gen:
+                    work.append(target)
 
-    changed = True
-    while changed:
-        changed = False
-        for block in cfg.reverse_postorder():
-            in_set: Set[DefSite] = set(reach_in[block.index])
-            for pred in block.preds:
-                if has_def[pred.index]:
-                    in_set |= gen[pred.index]
-                else:
-                    in_set |= _reach_out(reach_in, gen, has_def, pred.index)
-            if block.index == entry_index and is_param:
-                in_set.add(ENTRY_DEF)
-            if in_set != reach_in[block.index]:
-                reach_in[block.index] = in_set
-                changed = True
-
-    # Walk each block forward to attach per-use chains.
-    for block in cfg.blocks:
-        current = set(reach_in[block.index])
-        for index in block.instr_indices():
-            instr = code[index]
-            if reg in instr.uses:
-                chains.ud[id(instr)] = set(current)
-                chains._use_instrs[id(instr)] = instr
-                for site in current:
-                    if site is ENTRY_DEF:
-                        chains.entry_reaches_uses.add(id(instr))
-                    else:
-                        chains.du.setdefault(id(site), set()).add(id(instr))
-            if reg in instr.defs:
-                current = {instr}
+    for instr, block, local in uses:
+        sites = {local} if local is not None else set(reach_in.get(block, ()))
+        chains.ud[id(instr)] = sites
+        chains._use_instrs[id(instr)] = instr
+        for site in sites:
+            chains.du.setdefault(id(site), set()).add(id(instr))
     return chains
-
-
-def _reach_out(reach_in, gen, has_def, index: int) -> Set[DefSite]:
-    if has_def[index]:
-        return gen[index]
-    return reach_in[index]

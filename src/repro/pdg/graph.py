@@ -131,14 +131,6 @@ class PDGFunction:
                     locations[id(item.branch)] = (region, index)
         return locations
 
-    def reference_counts(self) -> Dict[Reg, int]:
-        """Total number of references (uses + defs) of each register."""
-        counts: Dict[Reg, int] = {}
-        for instr in self.walk_instrs():
-            for reg in instr.regs():
-                counts[reg] = counts.get(reg, 0) + 1
-        return counts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PDGFunction {self.name}>"
 

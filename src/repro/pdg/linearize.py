@@ -15,7 +15,8 @@ Only labels and unconditional jumps are freshly created per linearization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir.iloc import Instr, Op
 from .graph import PDGFunction
@@ -69,6 +70,70 @@ def linearize(func: PDGFunction) -> LinearCode:
     if not code.instrs or code.instrs[-1].op is not Op.RET:
         code._append(Instr(Op.RET))
     return code
+
+
+def insert_instrs(
+    code: LinearCode, placements: Sequence[Tuple[int, Instr, FrozenSet[int]]]
+) -> Optional[LinearCode]:
+    """``code`` after instructions were inserted into the PDG, without
+    re-walking it: what :func:`linearize` would now return.
+
+    Each placement ``(gap, instr, owners)`` puts ``instr`` immediately
+    before old position ``gap``, inside exactly the regions whose ids are
+    in ``owners`` (its owning region and every ancestor).  Placements are
+    listed in their final linear order.  Returns None when that order
+    cannot decide a region's boundary (an empty region sitting at a gap,
+    or a region's own instructions interleaved with outsiders at its
+    edge); the caller then relinearizes.
+    """
+    gaps = [gap for gap, _, _ in placements]
+    old = code.instrs
+    instrs: List[Instr] = []
+    previous = 0
+    for gap, instr, _ in placements:
+        instrs.extend(old[previous:gap])
+        instrs.append(instr)
+        previous = gap
+    instrs.extend(old[previous:])
+
+    def inside_flags(gap: int, region_id: int) -> Tuple[int, List[bool]]:
+        low = bisect_left(gaps, gap)
+        high = bisect_right(gaps, gap)
+        return low, [region_id in placements[i][2] for i in range(low, high)]
+
+    # Shift every boundary by the insertions before it; then settle the
+    # boundaries that sit exactly at a gap.
+    regions = list(code.region_span)
+    bounds = list(code.region_span.values())
+    starts = [start + bisect_left(gaps, start) for start, _ in bounds]
+    ends = [end + bisect_left(gaps, end) for _, end in bounds]
+    at_gap = set(gaps)
+    for slot, (start, end) in enumerate(bounds):
+        if start not in at_gap and end not in at_gap:
+            continue
+        region_id = id(regions[slot])
+        low, at_start = inside_flags(start, region_id)
+        if start == end:
+            if at_start:
+                return None
+            continue
+        # Outsiders precede the region's own placements at its start and
+        # follow them at its end.
+        outside = at_start.count(False)
+        if any(at_start[:outside]):
+            return None
+        starts[slot] += outside
+        _, at_end = inside_flags(end, region_id)
+        inside = at_end.count(True)
+        if not all(at_end[:inside]):
+            return None
+        ends[slot] += inside
+
+    patched = LinearCode(code.func)
+    patched.instrs = instrs
+    patched.region_span = dict(zip(regions, zip(starts, ends)))
+    patched._index_of = dict(zip(map(id, instrs), range(len(instrs))))
+    return patched
 
 
 class _Emitter:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ...ir.iloc import Instr, Op, Reg, Symbol, preg
 from ...pdg.graph import PDGFunction
 from ...pdg.linearize import linearize
-from ...pdg.liveness import FunctionAnalysis
+from ...pdg.liveness import FunctionAnalysis, Placement
 from ...pdg.nodes import Region
 from ..chaitin import AllocationError, AllocationResult
 from ..coloring import ColoringResult
@@ -56,9 +56,10 @@ class RAPContext:
         self.k = k
         self.optimistic = optimistic
         self.remat = remat
-        #: True rebuilds a FunctionAnalysis for every planning query (the
-        #: pre-caching behaviour) — kept as an A/B switch so tests can
-        #: prove the cache changes rebuild counts but not results.
+        #: True takes a whole-function FunctionAnalysis for every query
+        #: after a mutation (the pre-caching behaviour) — kept as the
+        #: oracle tests compare the snapshot reuse and the victim-scoped
+        #: re-analysis against.
         self.paranoid_analysis = paranoid_analysis
         #: per-region round budget override (None = module default).
         self.max_region_rounds = max_region_rounds
@@ -80,12 +81,18 @@ class RAPContext:
         self.final_coloring: Optional[ColoringResult] = None
         #: telemetry: (region name, victims) per spill event
         self.spill_log: List[Tuple[str, List[Reg]]] = []
-        #: telemetry: FunctionAnalysis builds performed during this run.
+        #: telemetry: whole-function FunctionAnalysis builds this run
+        #: (victim-scoped updates after a spill round are not counted).
         self.analysis_builds = 0
         self._analysis: Optional[FunctionAnalysis] = None
         #: False when the cached snapshot may be *structurally* stale
         #: (instructions deleted), which planning must never tolerate.
         self._planning_ok = False
+        #: registers whose references changed since the cached snapshot
+        #: (spilled registers and their fresh names), and where the spill
+        #: instructions inserted meanwhile sit.
+        self._spilled_regs: Set[Reg] = set()
+        self._placements: List[Placement] = []
         #: per-region referenced-register sets, valid for one func.version.
         self._region_refs: Dict[int, Set[Reg]] = {}
         self._region_refs_version = -1
@@ -93,12 +100,29 @@ class RAPContext:
     # -- analyses ----------------------------------------------------------
 
     def analysis(self) -> FunctionAnalysis:
-        """A snapshot guaranteed current: rebuilt iff the function's
-        version counter moved since the cached snapshot was taken."""
-        if self._analysis is None or self._analysis.version != self.func.version:
-            self._analysis = FunctionAnalysis(self.func)
+        """A snapshot guaranteed current, retaken iff the function's
+        version counter moved since the cached snapshot was taken.
+
+        After pure spill insertions the new snapshot is derived from the
+        cached one, re-solving only the spilled registers and their fresh
+        names; otherwise (first use, rematerialization's deletions, spill
+        code the cached snapshot cannot be patched with, or
+        ``paranoid_analysis``) it is a whole-function build.
+        """
+        cached = self._analysis
+        if cached is None or cached.version != self.func.version:
+            derived = None
+            if cached is not None and self._planning_ok and not self.paranoid_analysis:
+                derived = FunctionAnalysis.after_spill(
+                    cached, self._spilled_regs, self._placements
+                )
+            if derived is None:
+                derived = FunctionAnalysis(self.func)
+                self.analysis_builds += 1
+            self._analysis = derived
+            self._spilled_regs = set()
+            self._placements = []
             self._planning_ok = True
-            self.analysis_builds += 1
         return self._analysis
 
     fresh_analysis = analysis
@@ -135,6 +159,14 @@ class RAPContext:
         the next strict :meth:`analysis` call rebuilds)."""
         self.func.bump_version()
 
+    def record_spill(self, regs: Set[Reg], placements: List[Placement]) -> None:
+        """Record one spill insertion: ``regs`` (the victim and its fresh
+        names) had references renamed, and spill code was inserted at
+        ``placements`` (positions in the cached snapshot)."""
+        self._spilled_regs |= regs
+        self._placements.extend(placements)
+        self.mark_dirty()
+
     # -- rename / slot bookkeeping ---------------------------------------------
 
     def origin_of(self, reg: Reg) -> Reg:
@@ -163,10 +195,16 @@ class RAPContext:
         graph = self.sub_graphs.get(id(sub))
         if graph is not None:
             graph.rename_member(old, new)
-        member_ids = {id(r) for r in sub.walk_regions()}
-        for region_id, (region, loop_graph) in self.loop_graphs.items():
-            if region_id in member_ids:
-                loop_graph.rename_member(old, new)
+        holders = [
+            (region_id, loop_graph)
+            for region_id, (_, loop_graph) in self.loop_graphs.items()
+            if old in loop_graph
+        ]
+        if holders:
+            member_ids = {id(r) for r in sub.walk_regions()}
+            for region_id, loop_graph in holders:
+                if region_id in member_ids:
+                    loop_graph.rename_member(old, new)
 
     def save_loop_graph(self, region: Region, graph: InterferenceGraph) -> None:
         self.loop_graphs[id(region)] = (region, graph)
@@ -299,9 +337,10 @@ def allocate_rap(
     "move spill code out of any subregion" future-work extension, see
     :mod:`.global_opt`).  ``max_rounds`` overrides the per-region
     build/spill round budget.  ``paranoid_analysis=True`` disables the
-    same-round analysis-snapshot reuse (rebuilding one per spill victim,
-    the pre-caching behaviour) — results are identical either way; the
-    flag exists so tests can prove that.
+    same-round analysis-snapshot reuse and the victim-scoped snapshot
+    updates (rebuilding a whole-function snapshot per spill victim, the
+    pre-caching behaviour) — results are identical either way; the flag
+    exists so tests can prove that.
     """
     if k < 3:
         raise ValueError("a load/store architecture needs at least 3 registers")

@@ -42,25 +42,27 @@ def add_region_conflicts(
     # pass relies on that order for its copy-aligning first-fit behaviour.
     for instr in direct:
         for reg in instr.regs():
-            direct_refs.add(reg)
-            graph.ensure(reg)
+            if reg not in direct_refs:
+                direct_refs.add(reg)
+                graph.ensure(reg)
 
+    # Edge order is immaterial (adjacency is a set); only node order is.
     for instr in direct:
-        if not instr.defs:
+        defined = instr.dst
+        if defined is None:
             continue
-        live_after = analysis.live_after(instr)
-        for defined in instr.defs:
-            for other in live_after:
-                if other == defined or other not in direct_refs:
-                    continue
-                if instr.is_copy and other == instr.srcs[0]:
-                    continue
-                graph.add_edge(defined, other)
+        node = graph.node_of(defined)
+        others = analysis.live_after(instr) & direct_refs
+        others.discard(defined)
+        if instr.is_copy:
+            others.discard(instr.srcs[0])
+        for other in others:
+            graph.add_node_edge(node, graph.node_of(other))
 
     # Live on entrance to the parent region and referenced in its code:
     # pairwise interference (the RAP addition to the standard technique).
     live_in = analysis.live_in(region)
-    boundary = sorted(reg for reg in live_in if reg in direct_refs)
+    boundary = sorted(live_in & direct_refs)
     for i, first in enumerate(boundary):
         for second in boundary[i + 1:]:
             graph.add_edge(first, second)
@@ -77,7 +79,7 @@ def add_subregion_conflicts(
     ``sub_graphs`` maps ``id(subregion)`` to that subregion's combined
     interference graph (at most k nodes).
     """
-    subregions = region.subregions()
+    subregions = analysis.subregions(region)
 
     # Vars = registers referenced in the parent's code or any subregion.
     vars_: Set[Reg] = set()
@@ -91,8 +93,8 @@ def add_subregion_conflicts(
     # only inside subregions) interfere with everything currently present
     # — including each other, since each is added to the graph in turn.
     live_in = analysis.live_in(region)
-    for reg in sorted(vars_):
-        if reg in graph or reg not in live_in:
+    for reg in sorted(live_in & vars_):
+        if reg in graph:
             continue
         existing = list(graph.nodes)
         node = graph.ensure(reg)
@@ -107,13 +109,8 @@ def add_subregion_conflicts(
         if sub_graph is None:
             continue
         image = _import_graph(graph, sub_graph)
-        sub_live_in = analysis.live_in(sub)
-        sub_refs = analysis.referenced(sub)
-        for reg in sorted(vars_):
-            if reg in sub_refs:
-                continue
-            if reg not in sub_live_in:
-                continue
+        outsiders = (analysis.live_in(sub) & vars_) - analysis.referenced(sub)
+        for reg in sorted(outsiders):
             outsider = graph.ensure(reg)
             for node in image:
                 if node is not outsider:
@@ -132,11 +129,7 @@ def _import_graph(
     """
     image: Dict[int, IGNode] = {}
     for node in sorted(sub_graph.nodes, key=IGNode.sort_key):
-        members = sorted(node.members)
-        target = graph.ensure(members[0])
-        for reg in members[1:]:
-            target = graph.union(members[0], reg)
-        image[node.id] = target
+        image[node.id] = graph.add_group(sorted(node.members))
     for node in sub_graph.nodes:
         for neighbor in node.adj:
             graph.add_node_edge(image[node.id], image[neighbor.id])

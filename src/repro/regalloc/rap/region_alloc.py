@@ -23,6 +23,16 @@ driven bottom-up over the PDG by :func:`allocate_region` (each subregion
 is fully allocated before its parent's graph is ever built).  Loop-region
 graphs are retained for the spill-code-motion phase instead of being
 deleted, as §3.1.5 specifies.
+
+One round costs about the size of the region, as in the paper, where a
+region's graph is built from its own code plus ≤ k-node subregion
+summaries.  Every query goes to the round's
+:class:`~repro.pdg.liveness.FunctionAnalysis` snapshot, which answers
+locality and reference sets with span tests and memoized per-region sets,
+and derives live sets only for the blocks asked about.  After a spill
+round the next snapshot re-solves just the spilled registers and their
+fresh names (see :meth:`~repro.pdg.liveness.FunctionAnalysis.after_spill`);
+only rematerialization's dead-def sweep forces a whole-function rebuild.
 """
 
 from __future__ import annotations

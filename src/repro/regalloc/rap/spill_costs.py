@@ -18,7 +18,7 @@ The algorithm, verbatim from the paper:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from ...ir.iloc import Reg
 from ...pdg.liveness import FunctionAnalysis
@@ -34,31 +34,27 @@ def calc_spill_costs(
     spilled_here: Set[Reg],
     global_nodes: Set[IGNode],
 ) -> None:
-    """Attach ``spill_cost`` to every node of ``graph`` (Figure 5)."""
-    subregions = region.subregions()
+    """Attach ``spill_cost`` to every node of ``graph`` (Figure 5).
 
-    # Pre-compute per-subregion boundary sets:
+    The per-subregion sets come from the snapshot, which carries them over
+    from the previous round for every subregion the spill did not touch.
+    """
+    subregions = analysis.subregions(region)
+
+    # Per-subregion boundary sets:
     #   Livein_Ri  = live on entrance to Ri and *used* in Ri
     #   Liveout_Ri = live on exit from Ri and *defined* in Ri
-    live_in_used = []
-    live_out_defined = []
-    for sub in subregions:
-        used: Set[Reg] = set()
-        defined: Set[Reg] = set()
-        for instr in sub.walk_instrs():
-            used.update(instr.uses)
-            defined.update(instr.defs)
-        live_in_used.append(analysis.live_in(sub) & used)
-        live_out_defined.append(analysis.live_out(sub) & defined)
+    boundaries = [analysis.live_in(sub) & analysis.used(sub) for sub in subregions]
+    boundaries += [
+        analysis.live_out(sub) & analysis.defined(sub) for sub in subregions
+    ]
 
     # Initialization: protect hopeless spill candidates.
+    homes = analysis.home_subregions(region, graph.registers())
     for node in graph.nodes:
-        if any(reg in spilled_here for reg in node.members):
+        if not spilled_here.isdisjoint(node.members):
             node.spill_cost = INFINITE_COST
-        elif any(
-            all(analysis.is_local_to(reg, sub) for reg in node.members)
-            for sub in subregions
-        ):
+        elif subregions and _local_to_one_subregion(node, homes):
             node.spill_cost = INFINITE_COST
         else:
             node.spill_cost = 0.0
@@ -70,17 +66,27 @@ def calc_spill_costs(
             if node is not None:
                 node.spill_cost += 1
 
-    # Loads/stores that a spill would force on subregion boundaries.
-    for index, _sub in enumerate(subregions):
-        for node in graph.nodes:
-            if any(reg in live_in_used[index] for reg in node.members):
-                node.spill_cost += 1
-            if any(reg in live_out_defined[index] for reg in node.members):
-                node.spill_cost += 1
+    # Loads/stores that a spill would force on subregion boundaries: one
+    # per boundary set a node's registers appear in.
+    for boundary in boundaries:
+        touched = {graph.node_of(reg) for reg in boundary}
+        touched.discard(None)
+        for node in touched:
+            node.spill_cost += 1
 
     # Divide by the (global/global-adjusted) degree.
     for node in graph.nodes:
         node.spill_cost /= max(effective_degree(node, global_nodes), 1)
+
+
+def _local_to_one_subregion(
+    node: IGNode, homes: Dict[Reg, Optional[Region]]
+) -> bool:
+    """Whether every register of ``node`` is local to one and the same
+    subregion (``homes``: see ``FunctionAnalysis.home_subregions``; a
+    register without references is local to all of them)."""
+    found = {homes[reg] for reg in node.members if reg in homes}
+    return len(found) <= 1 and None not in found
 
 
 def compute_global_nodes(

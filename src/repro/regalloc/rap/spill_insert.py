@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...cfg.graph import CFG, BasicBlock
 from ...ir.iloc import Instr, Op, Reg, Symbol, ldm, stm
-from ...pdg.liveness import FunctionAnalysis
+from ...pdg.liveness import FunctionAnalysis, Placement
 from ...pdg.nodes import Item, Predicate, Region
 from ...resilience import faults
 
@@ -75,14 +75,17 @@ class _Reachability:
         return to_block.index in self.from_successors(from_block)
 
 
-def _item_references(item: Item, reg: Reg) -> bool:
+def _item_references(item: Item, reg: Reg, analysis: FunctionAnalysis) -> bool:
+    """Whether ``item`` references ``reg``, answered for nested regions by
+    the round-start snapshot (a same-round sibling spill never adds or
+    removes references of a different register)."""
     if isinstance(item, Instr):
         return reg in item.regs()
     if isinstance(item, Predicate):
         if reg in item.branch.regs():
             return True
-        return any(reg in sub.referenced_regs() for sub in item.regions())
-    return reg in item.referenced_regs()
+        return any(reg in analysis.referenced(sub) for sub in item.regions())
+    return reg in analysis.referenced(item)
 
 
 def _first_instr_of(item: Item) -> Optional[Instr]:
@@ -121,7 +124,9 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
 
     ``ctx`` is the :class:`~repro.regalloc.rap.allocator.RAPContext`; the
     function mutates the PDG, records rename origins, and patches saved
-    subregion graphs.
+    subregion graphs.  Every lookup goes through the snapshot's indexes
+    (the victim's own references, region spans), so the work scales with
+    the victim's references and the region, not the function.
     """
     # The round-start snapshot: safely shared by every victim of this
     # round's spill list (see RAPContext.planning_analysis for why pure
@@ -140,30 +145,39 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
         if corrupted != slot.name:
             load_slot = Symbol(corrupted, "spill")
     chains = analysis.chains(victim)
+    linear = analysis.linear
+    start, end = linear.region_span[region]
 
-    inside_ids = {id(instr) for instr in region.walk_instrs()}
-    direct = region.direct_instrs()
-    direct_ids = {id(instr) for instr in direct}
-    subregions = region.subregions()
+    def inside(instr: Instr) -> bool:
+        return start <= linear.index_of(instr) < end
 
-    inside_defs = [d for d in chains.all_defs() if id(d) in inside_ids]
-    outside_defs = [d for d in chains.all_defs() if id(d) not in inside_ids]
-    outside_uses = [u for u in chains.all_uses() if id(u) not in inside_ids]
+    # The victim's references inside the region, by owner: the parent
+    # region's own code (key None) or the subregion containing them.
+    inside_refs: Dict[Optional[int], List[Instr]] = {}
+    owner_of: Dict[int, Optional[Region]] = {}
+    for instr in analysis.references(victim):
+        if inside(instr):
+            sub = analysis.subregion_at(region, instr)
+            owner_of[id(instr)] = sub
+            inside_refs.setdefault(None if sub is None else id(sub), []).append(instr)
+    direct = inside_refs.get(None, [])
+    subregions = analysis.subregions(region)
+
+    inside_defs = [d for d in chains.all_defs() if inside(d)]
+    outside_defs = [d for d in chains.all_defs() if not inside(d)]
+    outside_uses = [u for u in chains.all_uses() if not inside(u)]
 
     # ---- patch-up sets (step 3) --------------------------------------------
     uses_needing_load = [
         use
         for use in outside_uses
-        if any(
-            not isinstance(site, str) and id(site) in inside_ids
-            for site in chains.defs_reaching(use)
-        )
+        if any(inside(site) for site in chains.defs_reaching(use))
     ]
     patched_use_ids = {id(use) for use in uses_needing_load}
     defs_needing_store: List[Instr] = []
     for definition in outside_defs:
         reached = chains.uses_reached_by(definition)
-        if any(id(use) in inside_ids for use in reached) or any(
+        if any(inside(use) for use in reached) or any(
             id(use) in patched_use_ids for use in reached
         ):
             defs_needing_store.append(definition)
@@ -187,7 +201,7 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
     sub_renames: List[Tuple[Region, Reg]] = []
     entry_loads: List[Tuple[Region, Reg]] = []
     for sub in subregions:
-        if victim not in analysis.referenced(sub):
+        if id(sub) not in inside_refs:
             continue
         sub_name = func.new_vreg()
         ctx.record_rename(sub_name, victim)
@@ -195,8 +209,8 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
         if victim in analysis.live_in(sub):
             entry_loads.append((sub, sub_name))
             for item in sub.items:
-                if _item_references(item, victim):
-                    anchor = _first_snapshot_instr_of(item, analysis.linear)
+                if _item_references(item, victim, analysis):
+                    anchor = _first_snapshot_instr_of(item, linear)
                     if anchor is not None:
                         load_anchor_instrs.append(anchor)
                     break
@@ -208,22 +222,13 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
     # store; subregion definitions store when their value can reach a
     # spill load (see module docstring).
     reach = _Reachability(analysis.cfg)
-    linear = analysis.linear
     load_positions = [linear.index_of(instr) for instr in load_anchor_instrs]
     rename_of_sub: Dict[int, Reg] = {id(sub): name for sub, name in sub_renames}
 
-    def sub_containing(instr: Instr) -> Optional[Region]:
-        for sub in subregions:
-            if any(existing is instr for existing in sub.walk_instrs()):
-                return sub
-        return None
-
     for definition in inside_defs:
-        if id(definition) in direct_ids:
+        owner = owner_of[id(definition)]
+        if owner is None:
             continue  # already planned above
-        owner = sub_containing(definition)
-        if owner is None:  # pragma: no cover - defensive
-            continue
         def_pos = linear.index_of(definition)
         if any(
             reach.reaches(analysis.cfg, def_pos, pos) for pos in load_positions
@@ -238,46 +243,60 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
     for definition in defs_needing_store:
         edits.append((definition, "after", stm(slot, victim)))
 
-    _apply_edits(ctx.func, edits)
+    placements = _apply_edits(analysis, edits)
 
     # Entry loads are positional: before the first item that still
     # references the (not yet renamed) victim.
     for sub, sub_name in entry_loads:
-        index = len(sub.items)
-        for position, item in enumerate(sub.items):
-            if _item_references(item, victim):
-                index = position
-                break
-        sub.items.insert(index, ldm(load_slot, sub_name))
+        position, item = next(
+            (position, item)
+            for position, item in enumerate(sub.items)
+            if _item_references(item, victim, analysis)
+        )
+        entry_load = ldm(load_slot, sub_name)
+        sub.items.insert(position, entry_load)
+        path = analysis.region_path(region) + [sub]
+        placements.append(
+            analysis.placement(
+                entry_load, analysis.first_position(item), path, after=False
+            )
+        )
 
     # ---- renames ------------------------------------------------------------------
     for instr in direct:
         instr.rewrite_regs({victim: parent_name})
     for sub, sub_name in sub_renames:
         mapping = {victim: sub_name}
-        for instr in sub.walk_instrs():
+        for instr in inside_refs[id(sub)]:
             instr.rewrite_regs(mapping)
         ctx.patch_subregion_graph(sub, victim, sub_name)
 
-    ctx.mark_dirty()
+    fresh = {parent_name} | {name for _, name in sub_renames}
+    ctx.record_spill({victim} | fresh, placements)
 
 
-def _apply_edits(func, edits: Sequence[Tuple[Instr, str, Instr]]) -> None:
-    """Insert new instructions around identity-anchored existing ones.
+def _apply_edits(
+    analysis: FunctionAnalysis, edits: Sequence[Tuple[Instr, str, Instr]]
+) -> List[Placement]:
+    """Insert new instructions around identity-anchored existing ones;
+    return where the instructions actually inserted sit (see
+    :meth:`FunctionAnalysis.placement`).
 
     Skips an insertion when the neighbouring item is already an identical
     ``ldm``/``stm`` (deduplicating patch-up code across successive spills
     of the same register by sibling regions).
     """
+    placements: List[Placement] = []
     if not edits:
-        return
-    locations = func.instr_locations()
+        return placements
     per_slot: Dict[Tuple[int, int], Dict[str, List[Instr]]] = {}
-    region_by_id: Dict[int, Region] = {}
+    anchors: Dict[Tuple[int, int], Tuple[Instr, List[Region]]] = {}
     for anchor, where, new_instr in edits:
-        owner, index = locations[id(anchor)]
-        region_by_id[id(owner)] = owner
-        bucket = per_slot.setdefault((id(owner), index), {"before": [], "after": []})
+        path = analysis.owner_path(anchor)
+        owner = path[-1]
+        key = (id(owner), _item_index(owner, anchor))
+        anchors[key] = (anchor, path)
+        bucket = per_slot.setdefault(key, {"before": [], "after": []})
         bucket[where].append(new_instr)
 
     by_region: Dict[int, List[Tuple[int, Dict[str, List[Instr]]]]] = {}
@@ -285,8 +304,9 @@ def _apply_edits(func, edits: Sequence[Tuple[Instr, str, Instr]]) -> None:
         by_region.setdefault(owner_id, []).append((index, bucket))
 
     for owner_id, entries in by_region.items():
-        owner = region_by_id[owner_id]
         for index, bucket in sorted(entries, key=lambda e: e[0], reverse=True):
+            anchor, path = anchors[(owner_id, index)]
+            owner = path[-1]
             afters = [
                 instr
                 for instr in bucket["after"]
@@ -299,6 +319,25 @@ def _apply_edits(func, edits: Sequence[Tuple[Instr, str, Instr]]) -> None:
                 if not _same_mem_instr(owner.items, index - 1, instr)
             ]
             owner.items[index:index] = befores
+            position = analysis.linear.index_of(anchor)
+            for instr in afters:
+                placements.append(analysis.placement(instr, position + 1, path, True))
+            for instr in befores:
+                placements.append(analysis.placement(instr, position, path, False))
+    return placements
+
+
+def _item_index(owner: Region, anchor: Instr) -> int:
+    """Position in ``owner.items`` of ``anchor`` or of the predicate
+    whose branch it is."""
+    try:
+        return owner.items.index(anchor)  # items compare by identity
+    except ValueError:
+        return next(
+            index
+            for index, item in enumerate(owner.items)
+            if isinstance(item, Predicate) and item.branch is anchor
+        )
 
 
 def _same_mem_instr(items: List[Item], index: int, instr: Instr) -> bool:

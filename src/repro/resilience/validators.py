@@ -868,11 +868,7 @@ def validate_ssa_construction(cert, context: StageContext) -> None:
             chains = chains_cache.get(origin)
             if chains is None:
                 chains = chains_cache[origin] = chains_for(pre_cfg, origin)
-            allowed = {
-                id(site)
-                for site in chains.defs_reaching(original)
-                if isinstance(site, Instr)
-            }
+            allowed = {id(site) for site in chains.defs_reaching(original)}
             for feed in feeding_defs(src):
                 if feed is _ENTRY:
                     continue  # undef contribution: no pre-SSA def to match

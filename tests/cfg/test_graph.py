@@ -84,6 +84,13 @@ class TestLoop:
         order = cfg.reverse_postorder()
         assert len({b.index for b in order}) == len(order)
 
+    def test_reverse_postorder_is_computed_once(self):
+        cfg = CFG(loop())
+        first = cfg.reverse_postorder()
+        again = cfg.reverse_postorder()
+        assert again is first
+        assert [b.index for b in again] == [b.index for b in first]
+
 
 class TestEdgeCases:
     def test_straightline_single_block(self):
@@ -109,3 +116,37 @@ class TestEdgeCases:
         cfg = CFG(code)
         assert len(cfg.blocks) == 2
         assert cfg.blocks[1] not in cfg.entry_block().succs
+
+
+def shape(cfg):
+    blocks = [
+        (b.start, b.end, [s.index for s in b.succs], [p.index for p in b.preds])
+        for b in cfg.blocks
+    ]
+    return blocks, [b.index for b in cfg.reverse_postorder()], cfg.reachable()
+
+
+class TestWithInsertions:
+    def test_insertions_shift_blocks_like_a_rebuild(self):
+        code = loop()
+        cfg = CFG(code)
+        # Twice before position 1 (the header label: joins the entry
+        # block), before 7 (mid-block) and before 10 (the closing ret).
+        gaps = [1, 1, 7, 10]
+        new = list(code)
+        for gap in reversed(gaps):
+            new.insert(gap, iloc.loadi(7, vreg(9)))
+        patched = CFG.with_insertions(cfg, new, gaps)
+        assert shape(patched) == shape(CFG(new))
+        assert [b.index for b in patched.block_at] == [
+            b.index for b in CFG(new).block_at
+        ]
+
+    def test_insertion_leading_a_block_is_refused(self):
+        # Right after the jump and before label X, the new instruction
+        # would be a block of its own: the caller must build afresh.
+        code = loop()
+        new = list(code)
+        new.insert(9, iloc.loadi(7, vreg(9)))
+        assert CFG.with_insertions(CFG(code), new, [9]) is None
+        assert len(CFG(new).blocks) == len(CFG(code).blocks) + 1

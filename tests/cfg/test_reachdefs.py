@@ -1,13 +1,15 @@
 """Tests for single-register reaching definitions (ud/du chains)."""
 
 from repro.cfg.graph import CFG
-from repro.cfg.reachdefs import ENTRY_DEF, chains_for
+from repro.cfg.reachdefs import chains_for
+from repro.compiler import compile_source
 from repro.ir import iloc
 from repro.ir.iloc import Instr, Op, vreg
+from repro.pdg.linearize import linearize
 
 
-def chains(code, reg, is_param=False):
-    return chains_for(CFG(code), reg, is_param=is_param)
+def chains(code, reg):
+    return chains_for(CFG(code), reg)
 
 
 class TestStraightline:
@@ -76,20 +78,13 @@ class TestBranching:
 
 
 class TestParams:
-    def test_entry_def_reaches_first_use_of_param(self):
-        code = [
-            Instr(Op.PRINT, srcs=[vreg(0)]),
-            Instr(Op.RET),
-        ]
-        result = chains(code, vreg(0), is_param=True)
-        assert ENTRY_DEF in result.defs_reaching(code[0])
-        assert id(code[0]) in result.entry_reaches_uses
-
-    def test_entry_def_killed_by_explicit_def(self):
-        code = [
-            iloc.loadi(5, vreg(0)),
-            Instr(Op.PRINT, srcs=[vreg(0)]),
-            Instr(Op.RET),
-        ]
-        result = chains(code, vreg(0), is_param=True)
-        assert result.defs_reaching(code[1]) == {code[0]}
+    def test_prologue_ldm_reaches_first_param_use(self):
+        source = "int f(int n) { print(n); return n; } void main() { print(f(3)); }"
+        func = compile_source(source).module.functions["f"]
+        param = func.params[0].reg
+        code = linearize(func).instrs
+        first_use = next(instr for instr in code if param in instr.uses)
+        result = chains_for(CFG(code), param)
+        (definition,) = result.defs_reaching(first_use)
+        assert definition.op is Op.LDM and definition.dst == param
+        assert definition is code[0]

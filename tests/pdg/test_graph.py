@@ -93,13 +93,6 @@ class TestPDGFunction:
                 isinstance(item, Predicate) and item.branch is instr
             )
 
-    def test_reference_counts_sum(self, module):
-        func = module.function("f")
-        counts = func.reference_counts()
-        total = sum(counts.values())
-        expected = sum(len(i.regs()) for i in func.walk_instrs())
-        assert total == expected
-
     def test_param_info(self, module):
         func = module.function("f")
         assert [p.name for p in func.params] == ["a", "b"]

@@ -1,8 +1,8 @@
 """Tests for PDG linearization."""
 
 from repro.compiler import compile_source
-from repro.ir.iloc import Op
-from repro.pdg.linearize import linearize
+from repro.ir.iloc import Op, Symbol, ldm, vreg
+from repro.pdg.linearize import insert_instrs, linearize
 from repro.pdg.nodes import Region
 
 
@@ -111,3 +111,34 @@ class TestSpans:
         func = func_of("void f() { int x; x = 1; }")
         text = str(linearize(func))
         assert "loadI" in text and "i2i" in text
+
+
+class TestInsertInstrs:
+    SOURCE = "void f() { int x; int y; x = 1; y = x + 2; print(y); }"
+
+    def test_patch_equals_relinearization(self):
+        func = func_of(self.SOURCE)
+        linear = linearize(func)
+        # A load opening y's statement: at the gap where x's statement
+        # ends, inside the one and outside the other.
+        statement = func.entry.subregions()[1]
+        anchor = statement.items[0]
+        new = ldm(Symbol("f.y"), vreg(9))
+        statement.items.insert(0, new)
+        owners = frozenset({id(func.entry), id(statement)})
+        patched = insert_instrs(linear, [(linear.index_of(anchor), new, owners)])
+        fresh = linearize(func)
+        assert [str(i) for i in patched.instrs] == [str(i) for i in fresh.instrs]
+        assert patched.region_span == fresh.region_span
+        assert patched.index_of(new) == fresh.index_of(new)
+
+    def test_empty_region_at_a_gap_is_left_to_relinearization(self):
+        func = func_of(self.SOURCE)
+        empty = Region()
+        func.entry.items.insert(1, empty)
+        linear = linearize(func)
+        start, end = linear.region_span[empty]
+        assert start == end
+        new = ldm(Symbol("f.y"), vreg(9))
+        owners = frozenset({id(func.entry)})
+        assert insert_instrs(linear, [(start, new, owners)]) is None
