@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from ..compiler import compile_source
 from .harness import Harness
-from .suite import PROGRAMS, BenchProgram, program
+from .suite import PROGRAMS, BenchProgram, program, program_names
 
 DEFAULT_PROGRAMS = ("hsort", "sieve", "queens", "linpack")
 
@@ -99,7 +99,13 @@ def _merged_granularity_total(bench: BenchProgram, k: int):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--programs", nargs="*", default=list(DEFAULT_PROGRAMS))
+    parser.add_argument(
+        "--programs",
+        nargs="*",
+        default=list(DEFAULT_PROGRAMS),
+        choices=program_names(),
+        metavar="NAME",
+    )
     args = parser.parse_args(argv)
     report(args.programs, k=args.k)
     return 0

@@ -362,7 +362,7 @@ def build_table1(
     from the returned runs in the same order as the serial loop, so the
     rendered text is byte-identical either way.  ``runs_out``, when
     given, receives every :class:`ProgramRun` in serial order — the raw
-    material for the ``--profile`` and ``--metrics-out`` reports.
+    material for the ``--schedule`` footer.
     """
     harness = harness or Harness()
     table = Table1(tuple(k_values))

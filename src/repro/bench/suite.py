@@ -160,6 +160,11 @@ def program(name: str) -> BenchProgram:
     raise KeyError(name)
 
 
+def program_names() -> List[str]:
+    """Names :func:`program` resolves: the ``--programs`` choices."""
+    return [bench.name for bench in all_programs()]
+
+
 def all_routines() -> List[str]:
     """Every Table-1 routine row, in suite order."""
     rows: List[str] = []

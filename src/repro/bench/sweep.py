@@ -14,7 +14,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .harness import Harness
-from .suite import program
+from .suite import program, program_names
 
 DEFAULT_PROGRAMS = ("sieve", "hsort", "queens")
 
@@ -101,7 +101,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k-min", type=int, default=3)
     parser.add_argument("--k-max", type=int, default=10)
-    parser.add_argument("--programs", nargs="*", default=list(DEFAULT_PROGRAMS))
+    parser.add_argument(
+        "--programs",
+        nargs="*",
+        default=list(DEFAULT_PROGRAMS),
+        choices=program_names(),
+        metavar="NAME",
+    )
     parser.add_argument(
         "--jobs",
         type=int,

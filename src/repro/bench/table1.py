@@ -12,21 +12,20 @@ for RAP, plus the ssaspill figure).
 ``--jobs N`` measures the sweep cells in N worker processes; the table
 text is byte-identical to a serial run (cells are independent and
 assembled in serial order), only the wall-time footer on *stderr*
-differs.  ``--profile`` appends aggregated per-stage telemetry,
-``--metrics-out FILE`` dumps per-cell stage metrics as JSON — see
-docs/BENCHMARKING.md.
+differs.  Per-layer timings and the exact counters come from
+``perfbench/run.py --trace 1`` — see docs/BENCHMARKING.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import List, Optional, Sequence
 
-from ..resilience.telemetry import aggregate, render_profile
+from ..resilience.telemetry import aggregate
 from .harness import DEFAULT_K_VALUES, Harness, ProgramRun, Table1, build_table1
+from .suite import program, program_names
 
 
 def _fmt(value: Optional[float], blank: bool) -> str:
@@ -135,43 +134,6 @@ def render_schedule_footer(runs: List[ProgramRun], stream=None) -> None:
     )
 
 
-def metrics_payload(
-    runs: List[ProgramRun],
-    wall_time: float,
-    k_values: Sequence[int],
-    jobs: Optional[int],
-) -> dict:
-    """The ``--metrics-out`` JSON document: sweep-level aggregate plus
-    one record per (program, allocator, k) cell."""
-    from ..resilience.telemetry import MetricsCollector
-
-    def stages_of(run: ProgramRun) -> dict:
-        collector = MetricsCollector()
-        collector.merge(run.metrics)
-        return collector.as_dict()
-
-    return {
-        "sweep": "table1",
-        "k_values": list(k_values),
-        "jobs": jobs if jobs else 1,
-        "wall_time_s": round(wall_time, 3),
-        "stages": aggregate(run.metrics for run in runs).as_dict(),
-        "cells": [
-            {
-                "program": run.program,
-                "allocator": run.allocator,
-                "k": run.k,
-                "allocator_used": run.allocator_used,
-                "wall_time_s": round(run.wall_time, 6),
-                "cycles": run.stats.total.cycles,
-                "fallbacks": [e.as_dict() for e in run.fallbacks_taken],
-                "stages": stages_of(run),
-            }
-            for run in runs
-        ],
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -185,6 +147,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--programs",
         nargs="*",
         default=None,
+        choices=program_names(),
+        metavar="NAME",
         help="restrict to specific benchmark programs",
     )
     parser.add_argument(
@@ -193,16 +157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="N",
         help="measure sweep cells in N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print aggregated per-stage telemetry after the table",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write per-cell stage metrics as JSON",
     )
     parser.add_argument(
         "--inject",
@@ -224,8 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     harness = Harness()
     if args.programs:
-        from .suite import program
-
         harness = Harness([program(name) for name in args.programs])
     runs: List[ProgramRun] = []
     from contextlib import nullcontext
@@ -246,17 +198,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     render_table1(table)
     if args.schedule:
         render_schedule_footer(runs)
-    if args.profile:
-        render_profile(
-            aggregate(run.metrics for run in runs),
-            sys.stdout,
-            title="Per-stage telemetry (all cells):",
-        )
-    if args.metrics_out:
-        payload = metrics_payload(runs, wall_time, args.k, args.jobs)
-        with open(args.metrics_out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
     # stderr, so the table on stdout stays byte-identical to
     # results_table1.txt for healthy runs, serial or parallel.
     mode = f"jobs={args.jobs}" if args.jobs and args.jobs > 1 else "serial"

@@ -15,8 +15,7 @@ Usage (``python -m repro ...``):
     python -m repro emit prog.mc --what alloc --allocator rap -k 4
     python -m repro run prog.mc --allocator rap -k 5 --schedule
     python -m repro table1                         # the paper's table
-    python -m repro table1 --jobs 4 --profile      # parallel, with telemetry
-    python -m repro table1 --jobs 4 --metrics-out metrics.json
+    python -m repro table1 --jobs 4                # same table, 4 processes
     python -m repro table1 --inject rap.region.raise   # ladder under fire
     python -m repro fuzz --seeds 25                # corpus + differential fuzzing
     python -m repro fuzz --update-corpus           # grow tests/corpus/
@@ -252,10 +251,6 @@ def cmd_table1(args) -> int:
         forwarded += ["--programs", *args.programs]
     if args.jobs is not None:
         forwarded += ["--jobs", str(args.jobs)]
-    if args.profile:
-        forwarded += ["--profile"]
-    if args.metrics_out:
-        forwarded += ["--metrics-out", args.metrics_out]
     if args.schedule:
         forwarded += ["--schedule"]
     for point in args.inject or []:
@@ -348,6 +343,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench.suite import program_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RAP/GRA register allocation over the PDG (PLDI 1994 reproduction)",
@@ -401,23 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     table1 = sub.add_parser("table1", help="reproduce the paper's Table 1")
     table1.add_argument("--k", type=int, nargs="*")
-    table1.add_argument("--programs", nargs="*")
+    table1.add_argument(
+        "--programs", nargs="*", choices=program_names(), metavar="NAME"
+    )
     table1.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
         help="measure sweep cells in N worker processes (default: serial)",
-    )
-    table1.add_argument(
-        "--profile",
-        action="store_true",
-        help="print aggregated per-stage telemetry after the table",
-    )
-    table1.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write per-cell stage metrics as JSON",
     )
     table1.add_argument(
         "--inject",

@@ -16,8 +16,8 @@ allocator is wrong?".  Four layers, each usable on its own:
   the scheduler, and the rewrite phases that let tests *prove* the
   verification and fallback nets catch corruption;
 * :mod:`.telemetry` — per-stage wall time and allocation counters
-  (rounds, spills, peephole hits), surfaced by the ``--profile`` and
-  ``--metrics-out`` CLI flags;
+  (rounds, spills, peephole hits), surfaced by ``repro run --profile``
+  and the compile service's responses;
 * :mod:`.triage` / :mod:`.fuzz` — differential fuzzing with
   delta-minimized repro bundles written to ``artifacts/``.
 

@@ -8,13 +8,14 @@ distinct spilled registers, peephole rewrites) taken from the
 :meth:`~repro.regalloc.chaitin.AllocationResult.telemetry` accessor.
 The collector aggregates per stage into :class:`StageMetrics` records.
 
-The benchmark harness creates one collector per ``(program, allocator,
-k)`` cell and threads the resulting stage map through
-:class:`~repro.bench.harness.ProgramRun`, so sweep-level reports (the
-``--profile`` flag, the ``--metrics-out`` JSON dump) can aggregate
-across cells with :func:`aggregate` — including cells measured in
-worker processes, since every record here is a plain picklable
-dataclass.
+``repro run --profile`` renders one program's records with
+:func:`render_profile`, and the compile service returns them with every
+response and in ``stats``.  The benchmark harness creates one collector
+per ``(program, allocator, k)`` cell and threads the resulting stage map
+through :class:`~repro.bench.harness.ProgramRun`, so the ``table1
+--schedule`` footer can aggregate across cells with :func:`aggregate` —
+including cells measured in worker processes, since every record here
+is a plain picklable dataclass.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class StageMetrics:
     sched_length_after: int = 0
     #: execute-stage tier census (zero everywhere else): how many runs
     #: this record aggregates per effective interpreter tier
-    #: (``slow`` / ``fast`` / ``compiled``), e.g. ``{"compiled": 80}``
+    #: (``slow`` / ``compiled``), e.g. ``{"compiled": 80}``
     #: for a sweep that stayed on the compiled tier throughout.
     tiers: Dict[str, int] = field(default_factory=dict)
 

@@ -523,6 +523,7 @@ def run_saturation(
     summary = {
         "target": f"{host}:{port}",
         "backends": backends,
+        "cpus": defaults.usable_cpus(),
         "mix_size": len(mix),
         "requests_per_step": requests_per_step,
         "knee_fraction": knee_fraction,
@@ -533,7 +534,8 @@ def run_saturation(
     if stream is not None:
         print(
             f"[saturate] knee at c={knee} "
-            f"(max {max_throughput:.1f} req/s across {backends} backend(s))",
+            f"(max {max_throughput:.1f} req/s across {backends} backend(s), "
+            f"{summary['cpus']} CPU(s))",
             file=stream,
         )
     return summary

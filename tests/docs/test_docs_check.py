@@ -6,9 +6,9 @@ known-flag universe is built from the *real* parsers — ``repro.cli``'s
 argparse tree (recursively, through its subcommands), the five service
 parser factories (``serve``/``router``/``request``/``loadgen``/
 ``router-admin`` bypass argparse dispatch in the CLI), and the
-``--help`` text of the
-``repro.bench`` entry points — so renaming or deleting a flag without
-sweeping the docs fails here, not in a user's terminal.
+``--help`` text of the ``repro.bench`` entry points and of
+``perfbench/run.py`` — so renaming or deleting a flag without sweeping
+the docs fails here, not in a user's terminal.
 """
 
 import argparse
@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.bench import ablations, micro, sweep, table1
+from perfbench import run as perfbench_run
+from repro.bench import ablations, sweep, table1
 from repro.service.admin import build_admin_parser
 from repro.service.client import build_request_parser
 from repro.service.loadgen import build_loadgen_parser
@@ -77,7 +78,7 @@ def known_flags():
         build_admin_parser,
     ):
         flags |= _parser_flags(factory())
-    for entry in (table1.main, sweep.main, ablations.main, micro.main):
+    for entry in (table1.main, sweep.main, ablations.main, perfbench_run.main):
         flags |= _help_flags(entry)
     return flags
 
@@ -118,13 +119,14 @@ class TestUniverse:
         # (refactored factory, renamed entry point) is caught here
         # rather than by the doc tests vacuously passing.
         for canary in (
-            "--profile",        # cli table1 subparser
+            "--profile",        # cli run subparser
             "--persist-dir",    # serve factory
             "--backend",        # router factory
             "--retries",        # request factory
             "--saturate",       # loadgen factory
             "--expect-generation",  # router-admin factory
             "--jobs",           # bench --help
+            "--trace",          # perfbench --help
         ):
             assert canary in flag_universe, canary
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import ablations, sweep, table1
 from repro.cli import main
 
 DEMO = """
@@ -117,28 +118,33 @@ class TestTable1Subcommand:
         out = capsys.readouterr().out
         assert "hanoi" in out and "Average" in out
 
-    def test_parallel_profile_and_metrics_out(self, capsys, tmp_path):
-        import json
-
-        metrics_file = tmp_path / "metrics.json"
+    def test_parallel_table_and_wall_footer(self, capsys):
         assert main(
-            ["table1", "--k", "3", "--programs", "hanoi", "--jobs", "2",
-             "--profile", "--metrics-out", str(metrics_file)]
+            ["table1", "--k", "3", "--programs", "hanoi", "--jobs", "2"]
         ) == 0
         captured = capsys.readouterr()
-        assert "hanoi" in captured.out
-        assert "Per-stage telemetry" in captured.out
+        assert "hanoi" in captured.out and "Average" in captured.out
         # wall-time footer goes to stderr so stdout stays byte-stable
         assert "[wall]" in captured.err and "jobs=2" in captured.err
-        payload = json.loads(metrics_file.read_text())
-        assert payload["jobs"] == 2
-        assert payload["stages"]["allocate"]["calls"] >= 1
-        cells = {(c["program"], c["allocator"], c["k"]) for c in payload["cells"]}
-        assert cells == {
-            ("hanoi", "gra", 3),
-            ("hanoi", "rap", 3),
-            ("hanoi", "ssaspill", 3),
-        }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda argv: main(["table1", *argv]),
+        table1.main,
+        sweep.main,
+        ablations.main,
+    ],
+    ids=["repro-table1", "bench.table1", "bench.sweep", "bench.ablations"],
+)
+def test_unknown_program_is_a_usage_error(entry, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        entry(["--programs", "nosuch"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    assert "'sieve'" in err and "'matmul'" in err
 
 
 class TestResilienceCommands:

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.service.defaults import usable_cpus
 from repro.service.loadgen import (
     LoadgenReport,
     default_mix,
@@ -138,6 +139,7 @@ class TestSaturation:
         )
         assert summary["target"] == f"{host}:{port}"
         assert summary["backends"] == 1  # plain daemon, not a router
+        assert summary["cpus"] == usable_cpus()
         assert [step["concurrency"] for step in summary["steps"]] == [1, 2]
         for step in summary["steps"]:
             assert step["ok"] == 4
