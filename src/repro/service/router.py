@@ -24,18 +24,31 @@ The routing hash covers ``(source, allocator, k, schedule)`` — the
 request identity, not the full artifact key.  The backend derives the
 artifact key itself (folding in deadline-driven rung demotion, pipeline
 config, and its code fingerprint); the router only needs *affinity*:
-the same request always reaches the same backend, so repeats hit that
-backend's cache.
+repeats of a request reach a backend that already holds its artifact.
+
+With replication ``R = 1`` that is the ring primary, always.  With
+``R > 1`` every member of a key's replica set holds the artifact (see
+Replication below), so each compile goes to the healthy replica-set
+member with the fewest requests in flight — the "less-loaded of the
+choices" rule (Mitzenmacher, *The Power of Two Choices in Randomized
+Load Balancing*, IEEE TPDS 2001), where every choice is warm.  Ties keep
+ring order, so sequential traffic still reaches the primary; concurrent
+requests spread over the replicas instead of queueing behind one busy
+backend while another sits idle.  In-flight counts are per router and
+cover whole forwarding attempts (probe, read-repair, compile and
+write-through).
 
 Failover
 --------
 
 A forwarding failure whose kind is connection-shaped (``transport`` /
 ``timeout``, or a failed connect) moves the request to the next
-*distinct* backend along the ring — warm affinity is lost for that
-request, but it is answered.  Server-*answered* errors (``admission``,
-a pipeline failure, ``poison-pill``…) are passed through verbatim: the
-backend spoke, and the router does not second-guess typed answers.
+backend in its attempt order — the other replica-set members first,
+then the remaining ring successors.  Past the replica set warm affinity
+is lost for that request, but it is answered.  Server-*answered* errors
+(``admission``, a pipeline failure, ``poison-pill``…) are passed
+through verbatim: the backend spoke, and the router does not
+second-guess typed answers.
 Forwarding to a possibly-dead backend can re-send a compile that
 actually ran — safe for the same reason client retries are: compiles
 are idempotent and artifacts content-addressed.  When every backend has
@@ -112,6 +125,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import defaults
@@ -228,6 +242,7 @@ class Backend:
         self._lock = threading.Lock()
         self._healthy = True
         self._consecutive_failures = 0
+        self._in_flight = 0  # forwarding attempts under way right now
         self.routed = 0  # requests this backend answered
         self.failed = 0  # forwarding attempts it did not answer
 
@@ -235,6 +250,23 @@ class Backend:
     def healthy(self) -> bool:
         with self._lock:
             return self._healthy
+
+    @property
+    def in_flight(self) -> int:
+        with self._lock:
+            return self._in_flight
+
+    @contextmanager
+    def forwarding(self) -> Iterator[None]:
+        """Count one forwarding attempt as in flight for its duration,
+        released on every exit path (answer, failover, exception)."""
+        with self._lock:
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
     def note_success(self) -> None:
         with self._lock:
@@ -263,6 +295,7 @@ class Backend:
                 "consecutive_failures": self._consecutive_failures,
                 "routed": self.routed,
                 "failed": self.failed,
+                "in_flight": self._in_flight,
             }
 
 
@@ -569,16 +602,28 @@ class RouterService:
         # Healthy backends first, in ring order; unhealthy ones only as
         # a last resort (the probe may simply not have noticed a
         # recovery yet).
-        attempts = [b for b in order if b.healthy] or order
+        healthy = [b for b in order if b.healthy]
+        attempts = healthy or order
+        if replicate and healthy:
+            # Every replica-set member holds the key's artifact, so the
+            # least-busy healthy one goes first; the sort is stable, so
+            # ties (and every sequential request) keep ring order.
+            members = set(replica_names)
+            preferred = sorted(
+                (b for b in healthy if b.name in members),
+                key=lambda b: b.in_flight,
+            )
+            attempts = preferred + [b for b in healthy if b.name not in members]
         failovers = 0
         for backend in attempts:
             try:
-                if replicate:
-                    response = self._compile_with_replication(
-                        backend, request, affinity, replicas
-                    )
-                else:
-                    response = self._client(backend).request(request)
+                with backend.forwarding():
+                    if replicate:
+                        response = self._compile_with_replication(
+                            backend, request, affinity, replicas
+                        )
+                    else:
+                        response = self._client(backend).request(request)
             except ServiceError as err:
                 if err.kind not in _FAILOVER_KINDS:
                     # protocol: the backend answered garbage — surface

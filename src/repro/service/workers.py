@@ -158,8 +158,9 @@ def _worker_child_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     # Only children compile, so only children import the compiler: the
-    # daemon never holds it, and each child loads it once, here, rather
-    # than inside its first job's watchdog budget.
+    # daemon never holds it, and each child loads it once, here.  The
+    # slot spawns its first child when it starts, so this import runs
+    # before any job, not inside the first job's watchdog budget.
     from .. import compiler, regalloc  # noqa: F401
     from ..resilience.pipeline import PassPipeline
     from .server import compile_cold
@@ -211,8 +212,8 @@ def _worker_child_main(
 class _WorkerSlot:
     """One supervised worker: a child process and the dispatcher thread
     that owns its lifecycle.  All pipe/process state is touched only by
-    this slot's thread (plus the supervisor's last-resort reaper after
-    the thread has been joined)."""
+    this slot's thread (plus :meth:`start`, before the thread exists,
+    and the supervisor's last-resort reaper after it has been joined)."""
 
     def __init__(self, supervisor: "ProcessWorkerSupervisor", index: int):
         self.supervisor = supervisor
@@ -234,6 +235,22 @@ class _WorkerSlot:
         self.busy_key: Optional[str] = None
 
     # -- lifecycle -----------------------------------------------------------
+
+    def start(self) -> None:
+        """Spawn the first child, then start the dispatcher thread.
+
+        The child's compile-stack import overlaps daemon start-up rather
+        than running inside the first cold job's watchdog budget.  The
+        fork happens on the caller's thread, which cannot be halfway
+        through an import the child would then wait on forever.
+        Respawns after a death stay lazy (and backed off) in
+        :meth:`_dispatch`; so does this first spawn if the fork fails.
+        """
+        try:
+            self._spawn()
+        except OSError:
+            pass
+        self.thread.start()
 
     def _spawn(self) -> None:
         """Fork a fresh child, honoring the consecutive-failure backoff."""
@@ -499,7 +516,7 @@ class ProcessWorkerSupervisor:
 
     def start(self) -> None:
         for slot in self._slots:
-            slot.thread.start()
+            slot.start()
 
     def stop(self, deadline: float) -> None:
         """Join every dispatcher (which reaps its own child), then

@@ -1,7 +1,10 @@
-"""The consistent-hash router: ring math, forwarding, failover under a
-backend kill, warm-affinity byte identity, and stats aggregation."""
+"""The consistent-hash router: ring math, forwarding, replica-set
+dispatch, failover under a backend kill, warm-affinity byte identity,
+and stats aggregation."""
 
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -228,6 +231,180 @@ class TestRouting:
         assert stats["cache"]["miss_kinds"].get("source", 0) == 4
 
 
+def _request(index, k=5):
+    return {"op": "compile", "source": SOURCES[index], "allocator": "rap",
+            "k": k, "filename": f"t{index}"}
+
+
+def _keys_owned_by(router, name, count):
+    """``count`` distinct requests whose ring primary is ``name``."""
+    found = [
+        _request(index, k)
+        for index in range(len(SOURCES))
+        for k in range(3, 8)
+        if router.ring.primary(affinity_key(_request(index, k))) == name
+    ]
+    assert len(found) >= count, f"only {len(found)} keys land on {name}"
+    return found[:count]
+
+
+def _server_named(servers, name):
+    port = int(name.rsplit(":", 1)[1])
+    return next(s for s in servers if s.server_address[1] == port)
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+@contextmanager
+def _held_busy(router, servers, name, request, delay_s=1.0):
+    """Keep backend ``name`` busy: its worker stalls ``delay_s`` per job
+    (``worker_delay_s``) while ``request`` — which must route to it —
+    is forwarded from a background thread.  Yields once the router
+    counts that request in flight; on exit waits for its answer."""
+    service = _server_named(servers, name).service
+    service.worker_delay_s = delay_s
+    answers = []
+    blocker = threading.Thread(
+        target=lambda: answers.append(router.handle(dict(request)))
+    )
+    blocker.start()
+    try:
+        _wait_until(lambda: router.backends[name].in_flight == 1)
+        yield
+    finally:
+        blocker.join()
+        service.worker_delay_s = 0.0
+    assert answers[0]["ok"] and answers[0]["backend"] == name
+
+
+class TestReplicaSetDispatch:
+    """R=2 over two backends: both hold every key, so a compile goes to
+    whichever healthy replica has fewer requests in flight; ties keep
+    ring order."""
+
+    def _split(self, router, request):
+        primary = router.ring.primary(affinity_key(request))
+        other = next(name for name in router.backends if name != primary)
+        return primary, other
+
+    def test_sequential_requests_reach_the_ring_primary(self, pair):
+        router, _ = pair
+        for _ in ("cold", "warm"):
+            for index in range(len(SOURCES)):
+                request = _request(index)
+                response = router.handle(dict(request))
+                assert response["ok"]
+                assert response["backend"] == router.ring.primary(
+                    affinity_key(request)
+                )
+
+    def test_busy_primary_sends_a_warm_key_to_the_other_replica(self, pair):
+        router, servers = pair
+        request = _request(0)
+        primary, other = self._split(router, request)
+        cold = router.handle(dict(request))
+        assert cold["backend"] == primary and cold["cache"] == "miss"
+        with _held_busy(router, servers, primary, request):
+            warm = router.handle(dict(request))
+        assert warm["ok"] and warm["cache"] == "hit"
+        assert warm["backend"] == other
+        assert warm["image_sha256"] == cold["image_sha256"]
+
+    def test_cold_key_compiles_on_the_idle_replica_and_writes_through(
+        self, pair
+    ):
+        router, servers = pair
+        primary, other = self._split(router, _request(0))
+        blocker, fresh = _keys_owned_by(router, primary, 2)
+        assert router.handle(dict(blocker))["ok"]  # warm: no write later
+        writes = router.handle({"op": "stats"})["router"]["replica_writes"]
+        with _held_busy(router, servers, primary, blocker):
+            cold = router.handle(dict(fresh))
+        assert cold["ok"] and cold["cache"] == "miss"
+        assert cold["backend"] == other
+        stats = router.handle({"op": "stats"})
+        assert stats["router"]["replica_writes"] == writes + 1
+        repeat = router.handle(dict(fresh))
+        assert repeat["backend"] == primary and repeat["cache"] == "hit"
+        assert repeat["image_sha256"] == cold["image_sha256"]
+
+    def test_concurrent_cold_requests_for_one_key_agree(self, pair):
+        router, _ = pair
+        request = _request(3)
+        barrier = threading.Barrier(2)
+        answers = []
+
+        def send():
+            barrier.wait()
+            answers.append(router.handle(dict(request)))
+
+        threads = [threading.Thread(target=send) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(answer["ok"] for answer in answers), answers
+        assert answers[0]["image_sha256"] == answers[1]["image_sha256"]
+
+    def test_replication_one_ignores_load(self, pair):
+        _, servers = pair
+        router = RouterService(
+            [("127.0.0.1", s.server_address[1]) for s in servers],
+            probe_interval_s=30.0, probe_failures=2, replication=1,
+        )
+        request = _request(1)
+        primary, _ = self._split(router, request)
+        with router.backends[primary].forwarding():
+            response = router.handle(dict(request))
+        assert response["ok"] and response["backend"] == primary
+
+    def test_unhealthy_replica_is_never_preferred(self, pair):
+        router, _ = pair
+        request = _request(2)
+        primary, other = self._split(router, request)
+        for _ in range(router.probe_failures):
+            router.backends[other].note_failure(router.probe_failures)
+        assert not router.backends[other].healthy
+        with router.backends[primary].forwarding():
+            response = router.handle(dict(request))
+        assert response["ok"] and response["backend"] == primary
+
+    def test_in_flight_released_after_failover(self, pair):
+        router, servers = pair
+        request = _request(4)
+        primary, other = self._split(router, request)
+        _kill_backend(_server_named(servers, primary))
+        response = router.handle(dict(request))
+        assert response["ok"] and response["backend"] == other
+        assert response["router_failovers"] == 1
+        stats = router.handle({"op": "stats"})
+        assert [b["in_flight"] for b in stats["backends"]] == [0, 0]
+
+    def test_in_flight_released_after_exceptions(self, pair, monkeypatch):
+        router, _ = pair
+        request = _request(5)
+
+        def protocol_error(*args, **kwargs):
+            raise ServiceError({"kind": "protocol", "message": "garbage"})
+
+        monkeypatch.setattr(router, "_compile_with_replication", protocol_error)
+        response = router.handle(dict(request))
+        assert response["error"]["kind"] == "protocol"
+
+        def bug(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(router, "_compile_with_replication", bug)
+        with pytest.raises(RuntimeError):
+            router.handle(dict(request))
+        assert all(b.in_flight == 0 for b in router.backends.values())
+
+
 class TestFailover:
     def test_backend_kill_fails_over_to_ring_successor(self, pair):
         router, servers = pair
@@ -410,3 +587,7 @@ class TestBackendLedger:
         snap = backend.snapshot()
         assert snap["routed"] == 1 and snap["failed"] == 1
         assert snap["name"] == "127.0.0.1:9999"
+        assert snap["in_flight"] == 0
+        with backend.forwarding():
+            assert backend.snapshot()["in_flight"] == 1
+        assert backend.in_flight == 0

@@ -76,6 +76,18 @@ class TestProcessColdAndWarm:
         finally:
             service.drain(timeout=5.0)
 
+    def test_started_service_has_a_live_worker_before_any_job(self):
+        # The first child is spawned with its slot, so its compile-stack
+        # import is not charged to the first cold job's watchdog budget.
+        service = make_service()
+        try:
+            stats = service.submit({"op": "stats"})
+            worker = stats["supervisor"]["workers"][0]
+            assert worker["pid"] is not None and worker["alive"]
+            assert worker["jobs_done"] == 0 and worker["restarts"] == 0
+        finally:
+            service.drain(timeout=5.0)
+
     def test_warm_hit_is_answered_parent_side(self):
         service = make_service()
         try:
