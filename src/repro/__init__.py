@@ -7,14 +7,20 @@ Public API tour
 Compile Mini-C, run the reference, allocate with either allocator::
 
     from repro import compile_source, run_program, allocate_gra, allocate_rap
-    from repro.compiler import param_slots
-    from repro.interp.machine import FunctionImage, ProgramImage
 
     prog = compile_source(source_text)
     reference = run_program(prog.reference_image())
 
     module = prog.fresh_module()
     results = {name: allocate_rap(f, k=5) for name, f in module.functions.items()}
+
+Allocate, validate and run a whole program through the one driver the
+harness, service, CLI, triage and corpus share (the fallback ladder over
+it is :func:`repro.resilience.fallback.walk_ladder`)::
+
+    from repro.resilience.pipeline import PassPipeline
+    image, results = PassPipeline().allocate_program(prog, "rap", 5)
+    assert run_program(image).output == reference.output
 
 Reproduce the paper's Table 1::
 

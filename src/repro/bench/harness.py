@@ -37,21 +37,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..compiler import CompiledProgram, param_slots
-from ..interp.machine import FunctionImage, ProgramImage, run_program
+from ..compiler import CompiledProgram
+from ..interp.machine import ProgramImage, run_program
 from ..interp.stats import Counters, ExecStats
 from ..ir.iloc import Instr, Op
 from ..resilience.errors import StageError
-from ..resilience.fallback import FallbackEvent, chain_for
+from ..resilience.fallback import FallbackEvent, walk_ladder
 from ..resilience.pipeline import PassPipeline, PipelineConfig
 from ..resilience.telemetry import MetricsCollector, StageMetrics
 from .suite import PROGRAMS, BenchProgram
 
 DEFAULT_K_VALUES = (3, 5, 7, 9)
-
-AllocatorFn = Callable[..., object]
 
 
 @dataclass
@@ -114,12 +112,10 @@ class Harness:
     def __init__(
         self,
         programs: Optional[Sequence[BenchProgram]] = None,
-        check_outputs: bool = True,
         fallback: bool = True,
         pipeline: Optional[PassPipeline] = None,
     ):
         self.programs = list(programs) if programs is not None else list(PROGRAMS)
-        self.check_outputs = check_outputs
         self.fallback = fallback
         self.pipeline = pipeline or PassPipeline(PipelineConfig())
         self._compiled: Dict[str, CompiledProgram] = {}
@@ -160,23 +156,18 @@ class Harness:
         paper's future-work extension) before the allocator.
         """
         prog = self.compiled(bench)
-        module = prog.fresh_module()
-        functions: Dict[str, FunctionImage] = {}
-        spill_flags: Dict[str, bool] = {}
-        for name, func in module.functions.items():
-            if pre_coalesce:
-                from ..regalloc.coalesce import coalesce_function
-
-                coalesce_function(func, k)
-            try:
-                result = self.pipeline.allocate(func, allocator, k, **alloc_kwargs)
-            except StageError as err:
-                if err.context.program is None:
-                    err.context.program = bench.name
-                raise
-            functions[name] = FunctionImage(name, result.code, param_slots(func))
-            spill_flags[name] = _has_spill_code(result.code, name)
-        image = ProgramImage(list(module.globals.values()), functions)
+        try:
+            image, results = self.pipeline.allocate_program(
+                prog, allocator, k, coalesce=pre_coalesce, **alloc_kwargs
+            )
+        except StageError as err:
+            if err.context.program is None:
+                err.context.program = bench.name
+            raise
+        spill_flags = {
+            name: _has_spill_code(result.code, name)
+            for name, result in results.items()
+        }
         return image, spill_flags
 
     def run(
@@ -193,63 +184,50 @@ class Harness:
         so the returned run may have executed a simpler allocator than the
         one requested — see :class:`ProgramRun`.
         """
-        attempts = chain_for(allocator)  # validates the allocator name
-        if not self.fallback:
-            attempts = attempts[:1]
-        fallbacks: List[FallbackEvent] = []
+
+        def attempt(rung: str) -> Tuple[ExecStats, Dict[str, bool]]:
+            # Requested-allocator tuning does not transfer down the
+            # ladder: rap-only kwargs would crash gra, and a knob that
+            # just broke one allocator should not be re-applied to its
+            # replacement.
+            own = rung == allocator
+            image, spill_flags = self.allocate_program(
+                bench,
+                rung,
+                k,
+                pre_coalesce=pre_coalesce if own else False,
+                **(alloc_kwargs if own else {}),
+            )
+            where = dict(program=bench.name, allocator=rung, k=k)
+            stats = self.pipeline.execute(
+                image, max_cycles=bench.max_cycles, **where
+            )
+            self.pipeline.check_output(
+                stats.output, self.reference_output(bench), **where
+            )
+            return stats, spill_flags
+
         collector = MetricsCollector()
         previous_collector = self.pipeline.metrics
         self.pipeline.metrics = collector
         started = time.perf_counter()
         try:
-            for position, rung in enumerate(attempts):
-                # Requested-allocator tuning does not transfer down the
-                # ladder: rap-only kwargs would crash gra, and a knob that
-                # just broke one allocator should not be re-applied to its
-                # replacement.
-                own = rung == allocator
-                try:
-                    image, spill_flags = self.allocate_program(
-                        bench,
-                        rung,
-                        k,
-                        pre_coalesce=pre_coalesce if own else False,
-                        **(alloc_kwargs if own else {}),
-                    )
-                    stats = self.pipeline.execute(
-                        image,
-                        max_cycles=bench.max_cycles,
-                        program=bench.name,
-                        allocator=rung,
-                        k=k,
-                    )
-                    if self.check_outputs:
-                        self.pipeline.check_output(
-                            stats.output,
-                            self.reference_output(bench),
-                            program=bench.name,
-                            allocator=rung,
-                            k=k,
-                        )
-                except StageError as err:
-                    if position == len(attempts) - 1:
-                        raise
-                    fallbacks.append(FallbackEvent(rung, err.stage, err.message))
-                    continue
-                return ProgramRun(
-                    bench.name,
-                    allocator,
-                    k,
-                    stats,
-                    spill_flags,
-                    allocator_used=rung,
-                    fallbacks_taken=fallbacks,
-                    metrics=collector.stages,
-                    wall_time=time.perf_counter() - started,
-                )
-            raise AssertionError("unreachable: ladder exhausted without raising")
+            (stats, spill_flags), used, fallbacks = walk_ladder(
+                allocator, attempt, fallback=self.fallback
+            )
         finally:
             self.pipeline.metrics = previous_collector
+        return ProgramRun(
+            bench.name,
+            allocator,
+            k,
+            stats,
+            spill_flags,
+            allocator_used=used,
+            fallbacks_taken=fallbacks,
+            metrics=collector.stages,
+            wall_time=time.perf_counter() - started,
+        )
 
 
 def _has_spill_code(code: Sequence[Instr], func_name: str) -> bool:

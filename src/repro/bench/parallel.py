@@ -68,7 +68,6 @@ _WORKER_HARNESS = None
 
 def _init_worker(
     config: PipelineConfig,
-    check_outputs: bool,
     fallback: bool,
     fault_specs: Tuple[faults.FaultSpec, ...],
 ) -> None:
@@ -77,11 +76,7 @@ def _init_worker(
 
     if fault_specs:
         faults.install(*fault_specs)
-    _WORKER_HARNESS = Harness(
-        check_outputs=check_outputs,
-        fallback=fallback,
-        pipeline=PassPipeline(config),
-    )
+    _WORKER_HARNESS = Harness(fallback=fallback, pipeline=PassPipeline(config))
 
 
 def _run_cell(spec: CellSpec):
@@ -111,7 +106,7 @@ def run_cells(
     ``{(program, allocator, k): ProgramRun}``.
 
     ``harness`` supplies the configuration the workers replicate
-    (pipeline config, ``check_outputs``, ``fallback``); its caches are
+    (pipeline config and ``fallback``); its caches are
     not shipped — each worker compiles what it needs.  If any cell's
     ladder-escaping failure comes back, the one earliest in ``specs``
     order is re-raised after the pool drains, mirroring a serial sweep's
@@ -131,7 +126,6 @@ def run_cells(
         initializer=_init_worker,
         initargs=(
             harness.pipeline.config,
-            harness.check_outputs,
             harness.fallback,
             fault_specs,
         ),

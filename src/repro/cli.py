@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .resilience.errors import StageError
 from .resilience.telemetry import MetricsCollector, render_profile
@@ -49,7 +49,6 @@ from .resilience.telemetry import MetricsCollector, render_profile
 # ``router`` (dispatched before any of them) start without it.
 if TYPE_CHECKING:  # pragma: no cover
     from .compiler import CompiledProgram
-    from .interp.machine import ProgramImage
     from .resilience.pipeline import PassPipeline
 
 ALLOCATOR_CHOICES = ("gra", "rap", "ssaspill", "linearscan", "spillall")
@@ -67,30 +66,6 @@ def _load(
     return compile_source(
         source, filename=path, granularity=granularity, pipeline=pipeline
     )
-
-
-def _allocate_image(
-    prog: CompiledProgram,
-    allocator: str,
-    k: int,
-    coalesce: bool = False,
-    pipeline: Optional[PassPipeline] = None,
-) -> ProgramImage:
-    """Allocate every function through the verifying pipeline."""
-    from .compiler import param_slots
-    from .interp.machine import FunctionImage, ProgramImage
-    from .regalloc.coalesce import coalesce_function
-    from .resilience.pipeline import PassPipeline, PipelineConfig
-
-    pipeline = pipeline or PassPipeline(PipelineConfig())
-    module = prog.fresh_module()
-    functions: Dict[str, FunctionImage] = {}
-    for name, func in module.functions.items():
-        if coalesce:
-            coalesce_function(func, k)
-        result = pipeline.allocate(func, allocator, k)
-        functions[name] = FunctionImage(name, result.code, param_slots(func))
-    return ProgramImage(list(module.globals.values()), functions)
 
 
 def _print_stats(label: str, stats) -> None:
@@ -138,8 +113,8 @@ def cmd_run(args) -> int:
             image = prog.reference_image(schedule=args.schedule)
             label = "reference (scheduled)" if args.schedule else "reference"
         else:
-            image = _allocate_image(
-                prog, args.allocator, args.k, args.coalesce, pipeline=pipeline
+            image, _ = (pipeline or PassPipeline()).allocate_program(
+                prog, args.allocator, args.k, coalesce=args.coalesce
             )
             label = f"{args.allocator} k={args.k}"
         started = time.perf_counter()
@@ -172,9 +147,11 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     from .interp.machine import run_program
+    from .resilience.pipeline import PassPipeline
     from .testing.compare import first_divergence, outputs_equal
 
     prog = _load(args.file, args.granularity)
+    pipeline = PassPipeline()
     reference = run_program(
         prog.reference_image(), entry=args.entry, max_cycles=args.max_cycles
     )
@@ -185,7 +162,9 @@ def cmd_compare(args) -> int:
     for k in args.k:
         rows = {}
         for name in ("gra", "rap"):
-            image = _allocate_image(prog, name, k, args.coalesce)
+            image, _ = pipeline.allocate_program(
+                prog, name, k, coalesce=args.coalesce
+            )
             stats = run_program(
                 image, entry=args.entry, max_cycles=args.max_cycles
             )
@@ -231,7 +210,11 @@ def cmd_emit(args) -> int:
             print(format_code(linearize(func).instrs))
             print()
     elif args.what == "alloc":
-        image = _allocate_image(prog, args.allocator, args.k, args.coalesce)
+        from .resilience.pipeline import PassPipeline
+
+        image, _ = PassPipeline().allocate_program(
+            prog, args.allocator, args.k, coalesce=args.coalesce
+        )
         for name, func_image in image.functions.items():
             print(f"; function {name}  ({args.allocator}, k={args.k})")
             print(format_code(func_image.code))

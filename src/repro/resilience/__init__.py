@@ -4,14 +4,15 @@ This package is the repository's answer to "what happens when an
 allocator is wrong?".  Four layers, each usable on its own:
 
 * :mod:`.pipeline` — the compiler as named, verified stages with
-  structured :class:`~repro.resilience.errors.StageError` diagnostics;
+  structured :class:`~repro.resilience.errors.StageError` diagnostics,
+  and the one whole-program allocation driver (``allocate_program``);
 * :mod:`.validators` — independent semantic checkers that re-prove the
   transforming phases (spill-code motion, Figure-6 peephole, list
   scheduling, SSA construction/destruction, and the chordal coloring of
   the SSA rung) sound from scratch after every run;
 * :mod:`.fallback` — the rap → gra → ssaspill → linearscan → spillall
-  retry ladder used by the benchmark harness so a sweep degrades
-  instead of dying;
+  retry ladder (``walk_ladder``) the benchmark harness and the service
+  worker walk, so a sweep or a request degrades instead of dying;
 * :mod:`.faults` — deterministic probe points inside the allocators,
   the scheduler, and the rewrite phases that let tests *prove* the
   verification and fallback nets catch corruption;

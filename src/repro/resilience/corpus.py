@@ -131,7 +131,7 @@ def program_features(
 ) -> Set[str]:
     """Which risky paths does this program drive at register count ``k``?
 
-    Runs GRA, RAP, and linear-scan allocation (no execution) and reads
+    Runs GRA, linear-scan, SSA and RAP allocation (no execution) and reads
     the telemetry: spill lists, hoist certificates, peephole rewrite
     counts.  The validator-error axes re-run RAP under each armed fault
     probe and record whether the matching ``*ValidationError`` fires.  A
@@ -145,30 +145,15 @@ def program_features(
     try:
         pipe = PassPipeline(config)
         prog = pipe.compile(source)
-        module = prog.fresh_module()
-        for func in module.functions.values():
-            result = pipe.allocate(func, "gra", k)
-            if result.spilled:
-                features.add("gra.spill")
-        module = prog.fresh_module()
-        for func in module.functions.values():
-            result = pipe.allocate(func, "linearscan", k)
-            if result.spilled:
-                features.add("linearscan.spill")
-        module = prog.fresh_module()
-        for func in module.functions.values():
-            result = pipe.allocate(func, "ssaspill", k)
-            if result.spilled:
-                features.add("ssaspill.spill")
-        module = prog.fresh_module()
-        for func in module.functions.values():
-            result = pipe.allocate(func, "rap", k)
-            if result.spilled:
-                features.add("rap.spill")
-            if getattr(result.motion, "hoists", []):
-                features.add("rap.motion")
-            if result.peephole.total:
-                features.add("rap.peephole")
+        for allocator in ("gra", "linearscan", "ssaspill", "rap"):
+            _, results = pipe.allocate_program(prog, allocator, k)
+            if any(result.spilled for result in results.values()):
+                features.add(f"{allocator}.spill")
+        # ``results`` are RAP's now: read its motion and peephole telemetry.
+        if any(getattr(r.motion, "hoists", []) for r in results.values()):
+            features.add("rap.motion")
+        if any(r.peephole.total for r in results.values()):
+            features.add("rap.peephole")
     except StageError:
         return set()
     features |= _error_path_features(pipe, prog, k)
@@ -211,9 +196,7 @@ def _error_path_features(pipe: PassPipeline, prog, k: int) -> Set[str]:
         error_cls = getattr(errors, error_name)
         with faults.injected(faults.FaultSpec(point, times=None)):
             try:
-                module = prog.fresh_module()
-                for func in module.functions.values():
-                    runner.allocate(func, allocator, k, schedule=schedule)
+                runner.allocate_program(prog, allocator, k, schedule=schedule)
             except error_cls:
                 found.add(feature)
             except StageError:
@@ -235,9 +218,7 @@ def _scheduler_moves_something(pipe: PassPipeline, prog, k: int) -> bool:
 
     collector = MetricsCollector()
     probe = PassPipeline(pipe.config, metrics=collector)
-    module = prog.fresh_module()
-    for func in module.functions.values():
-        probe.allocate(func, "rap", k, schedule=True)
+    probe.allocate_program(prog, "rap", k, schedule=True)
     schedule = collector.stages.get("schedule")
     return schedule is not None and schedule.sched_moved > 0
 

@@ -1,9 +1,10 @@
 """The allocator fallback ladder.
 
-When an allocator crashes, fails validation, or miscompiles, the harness
-does not abort the sweep: it retries the same (program, k) cell with the
-next-simpler allocator, recording the degradation.  The ladder is ordered
-by ambition:
+When an allocator crashes, fails validation, or miscompiles,
+:func:`walk_ladder` retries the same program and k with the next-simpler
+allocator, recording the degradation.  Its two callers are the benchmark
+harness (``Harness.run``) and the service worker (``compile_cold``).
+The ladder is ordered by ambition:
 
     rap -> gra -> ssaspill -> linearscan -> spillall
 
@@ -17,15 +18,20 @@ lifetimes), which falls back to the trivial spill-everywhere allocation
 all.  A sweep therefore always completes; the output reports *which*
 cells are degraded instead of the whole table dying on the first bad
 cell.  Every rung re-runs the full validate stage, so a fallback result
-is held to the same proof obligations as a first-choice one.
+is held to the same proof obligations as a first-choice one.  This
+module imports nothing from the compiler (the service daemon loads it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, TypeVar
 
-#: allocator -> the allocators to try next, in order.
+from .errors import StageError
+
+T = TypeVar("T")
+
+#: allocator -> the allocators to try next; keys in ladder order.
 FALLBACK_CHAIN: Dict[str, Tuple[str, ...]] = {
     "rap": ("gra", "ssaspill", "linearscan", "spillall"),
     "gra": ("ssaspill", "linearscan", "spillall"),
@@ -59,3 +65,26 @@ class FallbackEvent:
             "stage": self.stage,
             "reason": self.reason,
         }
+
+
+def walk_ladder(
+    allocator: str,
+    attempt: Callable[[str], T],
+    *,
+    fallback: bool = True,
+) -> Tuple[T, str, List[FallbackEvent]]:
+    """Call ``attempt(rung)`` down the ladder from ``allocator`` until one
+    returns; returns ``(value, rung used, abandoned rungs)``.  A
+    :class:`StageError` moves on to the next rung, except on the last
+    rung, where it propagates.  ``fallback=False`` tries ``allocator``
+    alone."""
+    rungs = chain_for(allocator)
+    if not fallback:
+        rungs = rungs[:1]
+    events: List[FallbackEvent] = []
+    for rung in rungs[:-1]:
+        try:
+            return attempt(rung), rung, events
+        except StageError as err:
+            events.append(FallbackEvent(rung, err.stage, err.message))
+    return attempt(rungs[-1]), rungs[-1], events

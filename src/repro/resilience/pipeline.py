@@ -19,19 +19,20 @@ answer.  The optional schedule stage list-schedules the allocated code
 and proves the emitted order is a topological order of an independently
 re-derived dependence DAG before accepting it.
 
-The harness composes this with the allocator fallback chain
-(:mod:`repro.resilience.fallback`); the fuzzer composes it with crash
-triage (:mod:`repro.resilience.triage`).
+:meth:`PassPipeline.allocate_program` is the one allocation driver.  The
+harness and the service worker walk it down the fallback ladder
+(:func:`repro.resilience.fallback.walk_ladder`); the CLI, crash triage
+(:mod:`repro.resilience.triage`) and the corpus scan call it directly.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..frontend import analyze, parse
 from ..frontend.errors import FrontendError
-from ..interp.machine import Machine, ProgramImage
+from ..interp.machine import FunctionImage, Machine, ProgramImage
 from ..interp.memory import MachineFault
 from ..interp.stats import ExecStats
 from ..ir.builder import build_module
@@ -211,6 +212,36 @@ class PassPipeline:
                 k=k,
             )
         return result
+
+    def allocate_program(
+        self,
+        prog,
+        allocator: str,
+        k: int,
+        *,
+        coalesce: bool = False,
+        **alloc_kwargs: Any,
+    ) -> Tuple[ProgramImage, Dict[str, Any]]:
+        """allocate -> validate every function of a fresh copy of
+        ``prog`` (a ``CompiledProgram``); returns the executable image
+        and each function's ``AllocationResult`` by name.
+        ``coalesce=True`` first runs conservative coalescing (the paper's
+        future-work extension) on each function."""
+        from ..compiler import param_slots  # late: avoids import cycle
+
+        module = prog.fresh_module()
+        functions: Dict[str, FunctionImage] = {}
+        results: Dict[str, Any] = {}
+        for name, func in module.functions.items():
+            if coalesce:
+                from ..regalloc.coalesce import coalesce_function
+
+                coalesce_function(func, k)
+            results[name] = self.allocate(func, allocator, k, **alloc_kwargs)
+            functions[name] = FunctionImage(
+                name, results[name].code, param_slots(func)
+            )
+        return ProgramImage(list(module.globals.values()), functions), results
 
     def _schedule(self, func: PDGFunction, allocator: str, k: int, result):
         """List-schedule the allocated code, then prove the reordering

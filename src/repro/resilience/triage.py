@@ -99,9 +99,6 @@ def probe_failure(
     evaluation, keeping repeated probing (delta minimization, bundle
     replay) deterministic.
     """
-    from ..compiler import param_slots
-    from ..interp.machine import FunctionImage, ProgramImage
-
     plan_cm = faults.injected(*inject) if inject else nullcontext()
     pipe = PassPipeline(config, seed=seed)
     try:
@@ -112,14 +109,7 @@ def probe_failure(
 
     try:
         with plan_cm:
-            module = prog.fresh_module()
-            functions = {}
-            for name, func in module.functions.items():
-                result = pipe.allocate(func, allocator, k)
-                functions[name] = FunctionImage(
-                    name, result.code, param_slots(func)
-                )
-            image = ProgramImage(list(module.globals.values()), functions)
+            image, _ = pipe.allocate_program(prog, allocator, k)
             stats = pipe.execute(
                 image, max_cycles=max_cycles, allocator=allocator, k=k
             )

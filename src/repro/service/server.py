@@ -111,11 +111,9 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..interp.machine import FunctionImage, ProgramImage
 from ..interp.serialize import dumps_image
 from ..resilience.config import PipelineConfig
-from ..resilience.errors import StageError
-from ..resilience.fallback import FallbackEvent, chain_for
+from ..resilience.fallback import FALLBACK_CHAIN, walk_ladder
 from ..resilience.telemetry import MetricsCollector
 from . import defaults
 from .cache import ArtifactCache, cache_key, key_components
@@ -134,13 +132,7 @@ DEFAULT_RUNG_POLICY: Tuple[Tuple[float, str], ...] = (
 )
 
 #: Ladder position, for "never upgrade past the request" comparisons.
-_LADDER_ORDER = {
-    "rap": 0,
-    "gra": 1,
-    "ssaspill": 2,
-    "linearscan": 3,
-    "spillall": 4,
-}
+_LADDER_ORDER = {rung: position for position, rung in enumerate(FALLBACK_CHAIN)}
 
 #: How long a handler waits for its job beyond the job's own deadline —
 #: covers the worker's bookkeeping after the deadline check.  A module
@@ -314,36 +306,16 @@ def compile_cold(
     ``"_blob"``; raises :class:`StageError` when every ladder rung below
     the starting one fails.
     """
-    from ..compiler import param_slots
-
     prog = pipeline.compile(
         spec["source"], filename=spec.get("filename") or "<request>"
     )
-    attempts = chain_for(spec["rung"])
-    fallbacks: List[FallbackEvent] = []
-    image: Optional[ProgramImage] = None
-    used = spec["rung"]
     k = spec["k"]
-    for position, attempt in enumerate(attempts):
-        module = prog.fresh_module()
-        functions: Dict[str, FunctionImage] = {}
-        try:
-            for name, func in module.functions.items():
-                result = pipeline.allocate(
-                    func, attempt, k, schedule=spec["schedule"]
-                )
-                functions[name] = FunctionImage(
-                    name, result.code, param_slots(func)
-                )
-        except StageError as err:
-            if position == len(attempts) - 1:
-                raise
-            fallbacks.append(FallbackEvent(attempt, err.stage, err.message))
-            continue
-        image = ProgramImage(list(module.globals.values()), functions)
-        used = attempt
-        break
-    assert image is not None  # last rung re-raises instead of falling out
+    image, used, fallbacks = walk_ladder(
+        spec["rung"],
+        lambda rung: pipeline.allocate_program(
+            prog, rung, k, schedule=spec["schedule"]
+        )[0],
+    )
 
     blob = dumps_image(image)
     response: Dict[str, Any] = {
@@ -399,6 +371,9 @@ class CompileService:
             workers = defaults.usable_cpus()
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
+        if queue_limit < 1:
+            # A zero-slot queue refuses every compile as "queue full".
+            raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
         self.config = config or PipelineConfig()
         # `cache or ...` would discard a provided cache: an *empty*
         # ArtifactCache is falsy (it has __len__).
@@ -1075,6 +1050,14 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
+    if args.queue_limit < 1:
+        parser.error(f"--queue-limit must be at least 1, got {args.queue_limit}")
+    if args.job_timeout is not None and not (
+        math.isfinite(args.job_timeout) and args.job_timeout > 0
+    ):
+        parser.error(
+            f"--job-timeout must be finite and positive, got {args.job_timeout}"
+        )
 
     cache_kwargs: Dict[str, Any] = {}
     if args.cache_bytes is not None:

@@ -53,6 +53,7 @@ ignored and the request compiles normally.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -101,6 +102,15 @@ class Supervision:
     #: Watchdog kills / crashes attributed to one compile key before it
     #: is quarantined as a poison pill.
     poison_threshold: int = defaults.POISON_THRESHOLD
+
+    def __post_init__(self) -> None:
+        # A zero or negative budget kills every job and quarantines
+        # healthy keys as poison pills; NaN or inf disarms the watchdog.
+        if not (math.isfinite(self.job_timeout_s) and self.job_timeout_s > 0):
+            raise ValueError(
+                "job_timeout_s must be finite and positive, "
+                f"got {self.job_timeout_s}"
+            )
 
 
 # ----------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.ir import iloc
 from repro.ir.iloc import Instr, Op, Symbol, vreg
 from repro.resilience import faults
 from repro.resilience.corpus import load_corpus
+from repro.resilience.pipeline import PassPipeline
 from repro.testing import random_source
 
 
@@ -60,9 +61,8 @@ def assert_tiers_agree(image, entry="main", run_args=(), max_cycles=5_000_000):
 
 
 def allocated_image(prog, allocator, k):
-    from repro.cli import _allocate_image
-
-    return _allocate_image(prog, allocator, k)
+    image, _ = PassPipeline().allocate_program(prog, allocator, k)
+    return image
 
 
 class TestBenchEquivalence:

@@ -1,12 +1,15 @@
-"""The fallback ladder and its bookkeeping in harness and Table 1."""
+"""The fallback ladder and its bookkeeping in harness, service worker
+and Table 1."""
 
 import pytest
 
 from repro.bench.harness import Harness, build_table1
 from repro.bench.suite import program
 from repro.resilience import faults
-from repro.resilience.fallback import FallbackEvent, chain_for
+from repro.resilience.errors import StageContext, StageError
+from repro.resilience.fallback import FallbackEvent, chain_for, walk_ladder
 from repro.resilience.faults import FaultSpec
+from repro.resilience.pipeline import PassPipeline
 
 BENCH = program("sieve")
 
@@ -35,6 +38,97 @@ class TestChain:
         }
 
 
+class TestWalkLadder:
+    @staticmethod
+    def failing_at(*broken):
+        def attempt(rung):
+            if rung in broken:
+                raise StageError(f"{rung} broke", StageContext("validate"))
+            return f"image from {rung}"
+
+        return attempt
+
+    def test_first_rung_that_returns_wins(self):
+        value, used, events = walk_ladder("rap", self.failing_at("rap", "gra"))
+        assert (value, used) == ("image from ssaspill", "ssaspill")
+        assert events == [
+            FallbackEvent("rap", "validate", "rap broke"),
+            FallbackEvent("gra", "validate", "gra broke"),
+        ]
+
+    def test_last_rung_error_propagates(self):
+        with pytest.raises(StageError, match="spillall broke"):
+            walk_ladder("linearscan", self.failing_at("linearscan", "spillall"))
+
+    def test_fail_fast_tries_only_the_request(self):
+        with pytest.raises(StageError, match="gra broke"):
+            walk_ladder("gra", self.failing_at("gra"), fallback=False)
+
+    def test_other_exceptions_are_not_absorbed(self):
+        def attempt(rung):
+            raise KeyError(rung)
+
+        with pytest.raises(KeyError):
+            walk_ladder("rap", attempt)
+
+    def test_unknown_allocator(self):
+        with pytest.raises(ValueError):
+            walk_ladder("magic", self.failing_at())
+
+
+def _via_harness(allocator, k):
+    run = Harness([BENCH]).run(BENCH, allocator, k)
+    events = [(e.allocator, e.stage) for e in run.fallbacks_taken]
+    return run.allocator_used, events, run.stats.output
+
+
+def _via_compile_cold(allocator, k):
+    from repro.service.server import compile_cold
+
+    spec = {
+        "source": BENCH.source(),
+        "rung": allocator,
+        "k": k,
+        "schedule": False,
+        "execute": True,
+        "entry": "main",
+        "max_cycles": BENCH.max_cycles,
+        "filename": BENCH.filename,
+        "allocator_requested": allocator,
+        "chaos": None,
+    }
+    body = compile_cold(PassPipeline(), spec)
+    events = [(e["allocator"], e["stage"]) for e in body["fallbacks"]]
+    return body["allocator_used"], events, body["output"]
+
+
+class TestLadderCallersAgree:
+    """The harness and the service worker walk one ladder: a knocked-out
+    rung lands both on the same next rung with the same events."""
+
+    @pytest.mark.parametrize(
+        "caller", [_via_harness, _via_compile_cold], ids=["harness", "compile_cold"]
+    )
+    @pytest.mark.parametrize(
+        "probe, rung, lands_on",
+        [
+            # The Chaitin baseline's spill slots corrupt: the miscompile
+            # is caught at validate, before execution.
+            ("gra.spill.corrupt-slot", "gra", "ssaspill"),
+            # SSA renaming resolves a use to a shadowed definition: the
+            # construction validator catches it.
+            ("ssa.rename.stale-def", "ssaspill", "linearscan"),
+        ],
+        ids=["gra", "ssaspill"],
+    )
+    def test_knockout_lands_one_rung_down(self, caller, probe, rung, lands_on):
+        with faults.injected(FaultSpec(probe, times=None)):
+            used, events, output = caller(rung, 3)
+        assert used == lands_on
+        assert events == [(rung, "validate")]
+        assert output == Harness([BENCH]).reference_output(BENCH)
+
+
 class TestHarnessLadder:
     def test_healthy_run_records_nothing(self):
         harness = Harness([BENCH])
@@ -53,28 +147,6 @@ class TestHarnessLadder:
             run = harness.run(BENCH, "rap", 3)
         assert run.allocator_used == "ssaspill"
         assert [e.allocator for e in run.fallbacks_taken] == ["rap", "gra"]
-        assert run.stats.output == harness.reference_output(BENCH)
-
-    def test_gra_knockout_lands_on_ssaspill(self):
-        # The Chaitin baseline's spill slots corrupt; the miscompile is
-        # caught pre-execution and the ladder descends one rung to the
-        # SSA allocator.
-        with faults.injected(FaultSpec("gra.spill.corrupt-slot", times=None)):
-            harness = Harness([BENCH])
-            run = harness.run(BENCH, "gra", 3)
-        assert run.allocator_used == "ssaspill"
-        assert [e.allocator for e in run.fallbacks_taken] == ["gra"]
-        assert run.stats.output == harness.reference_output(BENCH)
-
-    def test_ssaspill_knockout_lands_on_linearscan(self):
-        # SSA renaming resolves a use to a shadowed definition; the
-        # construction validator catches it pre-execution and the ladder
-        # descends to linear scan.
-        with faults.injected(FaultSpec("ssa.rename.stale-def", times=None)):
-            harness = Harness([BENCH])
-            run = harness.run(BENCH, "ssaspill", 3)
-        assert run.allocator_used == "linearscan"
-        assert [e.allocator for e in run.fallbacks_taken] == ["ssaspill"]
         assert run.stats.output == harness.reference_output(BENCH)
 
     def test_three_rung_descent(self):

@@ -253,6 +253,13 @@ def _submit_async(service, request, results, name):
     return thread
 
 
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class TestAdmissionControl:
     def test_full_queue_rejects_immediately(self):
         service = CompileService(
@@ -263,11 +270,21 @@ class TestAdmissionControl:
             results = []
             threads = [
                 _submit_async(
+                    service, compile_request(TRIVIAL, k=3), results, "j0"
+                )
+            ]
+            # j0 offered (the queue's first sequence number) and claimed
+            # by the one worker, which now stalls on it.
+            _wait_until(
+                lambda: service.queue._seq == 1 and len(service.queue) == 0
+            )
+            threads += [
+                _submit_async(
                     service, compile_request(TRIVIAL, k=3 + i), results, f"j{i}"
                 )
-                for i in range(3)
+                for i in (1, 2)
             ]
-            time.sleep(0.1)  # one in flight, two queued: saturated
+            _wait_until(lambda: len(service.queue) == 2)  # saturated
             started = time.perf_counter()
             rejected = service.submit(compile_request(TRIVIAL, k=9))
             elapsed = time.perf_counter() - started
@@ -514,6 +531,44 @@ class TestTCPLayer:
         with self._client(server) as two:
             response = two.compile(TRIVIAL, k=4)
         assert response["cache"] == "hit"
+
+
+class TestServiceLimits:
+    """A queue with no slots refuses every compile as "queue full", and a
+    watchdog budget that is not finite and positive kills healthy jobs
+    and quarantines their keys as poison pills."""
+
+    def test_service_rejects_empty_queue(self):
+        with pytest.raises(ValueError, match="queue_limit must be at least 1"):
+            CompileService(workers=1, queue_limit=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_supervision_rejects_bad_job_timeout(self, timeout):
+        from repro.service.workers import Supervision
+
+        with pytest.raises(ValueError, match="finite and positive"):
+            Supervision(job_timeout_s=timeout)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--queue-limit", "0", "--queue-limit must be at least 1"),
+            ("--job-timeout", "0", "--job-timeout must be finite and positive"),
+            ("--job-timeout", "nan", "--job-timeout must be finite and positive"),
+        ],
+        ids=["queue-limit-0", "job-timeout-0", "job-timeout-nan"],
+    )
+    def test_serve_rejects_bad_limits(self, flag, value, message):
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", flag, value],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode == 2
+        assert message in done.stderr
 
 
 class TestWorkerCount:

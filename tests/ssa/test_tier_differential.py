@@ -15,13 +15,18 @@ import os
 import pytest
 
 from repro.bench.suite import all_programs
-from repro.cli import _allocate_image
 from repro.compiler import compile_source
 from repro.interp.machine import INTERP_TIERS, Machine
 from repro.resilience.corpus import load_corpus
+from repro.resilience.pipeline import PassPipeline
 from repro.testing import random_source
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def ssaspill_image(prog, k):
+    image, _ = PassPipeline().allocate_program(prog, "ssaspill", k)
+    return image
 
 
 def run_tier(image, tier, max_cycles):
@@ -44,7 +49,7 @@ class TestBenchSuite:
     @pytest.mark.parametrize("k", [3, 7])
     def test_bench_program(self, bench, k):
         prog = compile_source(bench.source(), filename=bench.filename)
-        image = _allocate_image(prog, "ssaspill", k)
+        image = ssaspill_image(prog, k)
         assert_tiers_agree(image, bench.max_cycles)
 
 
@@ -52,7 +57,7 @@ class TestFuzzSeeds:
     @pytest.mark.parametrize("seed", range(25))
     def test_fuzz_seed(self, seed):
         prog = compile_source(random_source(seed, "small"))
-        image = _allocate_image(prog, "ssaspill", 3)
+        image = ssaspill_image(prog, 3)
         assert_tiers_agree(image, 3_000_000)
 
 
@@ -68,5 +73,5 @@ class TestCorpus:
     def test_corpus_program(self, entry):
         with open(entry.path(self.corpus.directory)) as handle:
             prog = compile_source(handle.read())
-        image = _allocate_image(prog, "ssaspill", 3)
+        image = ssaspill_image(prog, 3)
         assert_tiers_agree(image, 3_000_000)
