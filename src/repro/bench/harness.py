@@ -134,9 +134,13 @@ class Harness:
 
     def reference_output(self, bench: BenchProgram) -> list:
         if bench.name not in self._reference_out:
-            prog = self.compiled(bench)
+            reference = self.compiled(bench).reference_image()
+            # A throwaway image over the cached one's functions: the run
+            # shares their decoded form, and its translations are freed
+            # with it instead of living as long as this harness.
             stats = run_program(
-                prog.reference_image(), max_cycles=bench.max_cycles
+                ProgramImage(reference.globals, reference.functions),
+                max_cycles=bench.max_cycles,
             )
             self._reference_out[bench.name] = stats.output
         return self._reference_out[bench.name]

@@ -19,9 +19,12 @@ Two tiers dispatch the same images with identical observable results.
 The ``slow`` loop (:meth:`Machine._dispatch`) walks ``Instr`` objects one
 at a time and is the only one that feeds a :class:`Tracer` or an armed
 fault plan.  The default ``compiled`` tier (:mod:`repro.interp.pycompile`)
-runs each function as generated Python and hands over to the slow loop
-in two cases: an image it cannot translate runs there whole, and an
-activation about to exceed the cycle budget bails there mid-function.
+runs the program as generated Python: each :class:`ProgramImage` keeps
+its functions' translations, and a run binds them into one namespace in
+which a guest call is a direct Python call.  It hands over to the slow
+loop in two cases: a function it cannot translate runs there (every
+activation of it, called like any other function), and an activation
+about to exceed the cycle budget bails there mid-function.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ class _Bailout(Exception):
     annotates the fault itself; the generated fault handler of the
     bailing frame must *not* flush again.  Wrapping the fault in an
     exception type that handler does not catch makes the pass-through
-    structural; :meth:`Machine._execute` and
-    :meth:`Machine._call_compiled` unwrap it at the activation boundary.
+    structural; the bailing frame's generated code unwraps it on its way
+    out, so its callers' handlers flush their own counters as usual.
     """
 
     def __init__(self, fault: MachineFault):
@@ -104,10 +107,6 @@ class FunctionImage:
     #: yet, False = decode failed and the slow path is authoritative for
     #: this image).
     _decoded: object = field(default=None, init=False, repr=False, compare=False)
-    #: lazily compiled pycompile-tier artifact, cached alongside the
-    #: decode cache with the same tri-state convention (None / False /
-    #: :class:`~repro.interp.pycompile.PyCompiledFunction`).
-    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -134,27 +133,6 @@ class FunctionImage:
                 self._decoded = False
         return self._decoded or None
 
-    def compiled_or_none(self):
-        """The cached :class:`~repro.interp.pycompile.PyCompiledFunction`.
-
-        Like :meth:`decoded_or_none`, translation happens once per image
-        and the artifact is shared by every machine.  Returns None when
-        the image cannot be compiled — the slow path is then
-        authoritative for this image.
-        """
-        if self._compiled is None:
-            decoded = self.decoded_or_none()
-            if decoded is None:
-                self._compiled = False
-            else:
-                try:
-                    from .pycompile import compile_decoded
-
-                    self._compiled = compile_decoded(self, decoded)
-                except Exception:
-                    self._compiled = False
-        return self._compiled or None
-
 
 @dataclass
 class ProgramImage:
@@ -162,6 +140,14 @@ class ProgramImage:
 
     globals: List[GlobalVar]
     functions: Dict[str, FunctionImage]
+    #: the compiled tier's translations, by function name, made on the
+    #: function's first compiled activation (None = the translator
+    #: rejected it and the slow loop runs it).  A translation depends on
+    #: the callees' arities, so it belongs to the program, and it is
+    #: freed with it.
+    _translations: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def image(self, name: str) -> FunctionImage:
         if name not in self.functions:
@@ -235,26 +221,37 @@ class Machine:
         #: seconds spent decoding images on behalf of this machine (zero
         #: when every image was already decoded by an earlier run).
         self.decode_seconds = 0.0
-        #: seconds spent translating images to Python on behalf of this
-        #: machine (zero unless this machine ran a compiled-tier cold
-        #: translation).
+        #: seconds spent translating functions to Python on behalf of
+        #: this machine (zero unless this machine made a translation).
         self.pycompile_seconds = 0.0
+        #: the running compiled run's namespace
+        #: (:func:`repro.interp.pycompile.run_namespace`), else None.
+        self._namespace: Optional[dict] = None
         self._arg_queue: List[Number] = []
         #: pc of the slow loop's current instruction, in original-code
         #: coordinates (the compiled tier annotates its own faults).
         self._fault_pc = 0
-        #: effective tier, re-resolved at every :meth:`run` (fault plans
-        #: arm and disarm between runs, never mid-run) so the per-
-        #: activation dispatch avoids the probe-the-fault-registry call.
-        self._mode = self.interp_tier()
 
     # -- public API -------------------------------------------------------------
 
     def run(self, entry: str = "main", args: Sequence[Number] = ()) -> Number:
-        """Execute ``entry`` and return its return value (0 if void)."""
-        self._mode = self.interp_tier()
-        self.stats.interp_tier = self._mode
-        return self._call(entry, list(args))
+        """Execute ``entry`` and return its return value (0 if void).
+
+        The tier is resolved per run: fault plans arm and disarm between
+        runs, never mid-run."""
+        self.stats.interp_tier = self.interp_tier()
+        if self.stats.interp_tier != "compiled":
+            return self._call(entry, list(args))
+        from .pycompile import run_namespace
+
+        self._namespace = run_namespace(self)
+        try:
+            return self._call(entry, list(args))
+        finally:
+            # Drops the run's bound functions and state; the namespace
+            # and its functions refer to each other.
+            self._namespace.clear()
+            self._namespace = None
 
     def interp_tier(self) -> str:
         """The tier dispatch will actually use for this machine.
@@ -275,16 +272,6 @@ class Machine:
             return decoded
         return decoded or None
 
-    def _compiled_for(self, image: FunctionImage):
-        compiled = image._compiled
-        if compiled is None:
-            self._decoded_for(image)  # attribute decode time separately
-            started = time.perf_counter()
-            compiled = image.compiled_or_none()
-            self.pycompile_seconds += time.perf_counter() - started
-            return compiled
-        return compiled or None
-
     # -- execution ---------------------------------------------------------------
 
     def _call(self, name: str, args: List[Number]) -> Number:
@@ -293,53 +280,22 @@ class Machine:
             raise MachineFault(
                 f"{name} expects {len(image.param_slots)} args, got {len(args)}"
             )
+        if self._namespace is not None:
+            from .pycompile import function_global
+
+            return self._namespace[function_global(name)](*args)
+        return self._call_slow(image, *args)
+
+    def _call_slow(self, image: FunctionImage, *args: Number) -> Number:
+        """One activation of ``image`` on the slow loop.  The compiled
+        tier binds a function it cannot translate to this."""
         frame = _Frame(self.memory.stack_top)
         for slot, value in zip(image.param_slots, args):
             frame.slots[slot] = value
         try:
-            return self._execute(image, frame)
+            return self._run_slow(image, frame)
         finally:
             self.memory.release_to(frame.stack_mark)
-
-    def _call_compiled(self, image: FunctionImage, args: List[Number]) -> Number:
-        """Fused activation path used by generated code (hoisted as
-        ``_machine_call``): one Python frame instead of the
-        ``_call`` → ``_execute`` pair, with the tier decision already
-        made by the caller (compiled code only calls this under the
-        compiled mode) and the image already looked up for the arity
-        check.  The generated call site popped exactly ``arity`` queued
-        params, so the arg count needs no re-validation here.  Callees
-        whose translation failed run on the slow loop."""
-        compiled = image._compiled
-        if compiled is None:
-            compiled = self._compiled_for(image)
-        frame = _Frame(self.memory.stack_top)
-        frame.slots.update(zip(image.param_slots, args))
-        try:
-            if not compiled:
-                return self._run_slow(image, frame)
-            try:
-                return compiled.fn(self, frame)
-            except _Bailout as bailout:
-                # A compiled frame bailed to the slow loop and faulted
-                # there, fully flushed and annotated.
-                raise bailout.fault from None
-        finally:
-            self.memory.release_to(frame.stack_mark)
-
-    def _execute(self, image: FunctionImage, frame: _Frame) -> Number:
-        if self._mode == "compiled":
-            compiled = image._compiled
-            if compiled is None:
-                compiled = self._compiled_for(image)
-            if compiled:
-                try:
-                    return compiled.fn(self, frame)
-                except _Bailout as bailout:
-                    # A compiled frame bailed to the slow loop and
-                    # faulted there, fully flushed and annotated.
-                    raise bailout.fault from None
-        return self._run_slow(image, frame)
 
     def _run_slow(self, image: FunctionImage, frame: _Frame, pc: int = 0) -> Number:
         """Dispatch ``image`` on the slow loop from original-code ``pc``,

@@ -1,15 +1,21 @@
-"""The compiled interpreter tier: decoded images translated to Python.
+"""The compiled interpreter tier: program images run as generated Python.
 
 The slow dispatch loop in :mod:`repro.interp.machine` pays, per executed
 ILOC instruction, for an ``Op`` comparison ladder, label skipping, and a
-hashed :class:`~repro.ir.iloc.Reg` lookup per register operand.  This
-module removes all of that by translating each
-:class:`~repro.interp.decode.DecodedFunction` once into the source of a
-single specialized Python function which is then ``compile()``d and
-``exec``d:
+hashed :class:`~repro.ir.iloc.Reg` lookup per register operand, and per
+call for a frame dict and a Python frame per machine layer.  This module
+removes all of that by translating each
+:class:`~repro.interp.decode.DecodedFunction` into the source of one
+specialized Python function, which is ``compile()``d once per program
+image and bound into that run's namespace:
 
 * registers become Python **local variables** (``r0``, ``r1``, ...), so
-  CPython's fast-locals array replaces the per-frame register dict;
+  CPython's fast-locals array replaces the per-frame register dict, and
+  spill slots become locals ``_s0, _s1, ...`` as well; the incoming
+  parameter slots are the function's positional parameters;
+* a ``call`` is a **direct Python call** of the callee's global
+  (``_fn_<name>``) with the queued parameters as positional arguments,
+  so a guest activation costs one Python frame;
 * basic blocks become arms of a jump-threaded ``while``/dispatch
   skeleton (a binary search over block ids); blocks with a single
   predecessor edge are inlined at that edge, so straight-line regions,
@@ -29,43 +35,47 @@ identical to the slow path:
   after each increment.  A straight-line segment of ``B`` instructions
   runs them all unconditionally, so the budget trips inside the segment
   *iff* ``cycles + B > limit`` at segment entry.  The compiled code tests
-  exactly that, and when it would trip it *bails*: registers and pending
-  counters are materialized back into the frame and the stats, and
-  execution resumes instruction-by-instruction on the slow loop from the
-  segment start, which then produces the byte-identical fault (whichever
-  of budget/divide/etc. comes first).  The bail runs at most one segment
-  and only on activations that are already guaranteed to fault, so it
-  costs nothing on the happy path.
+  exactly that, and when it would trip it *bails*: registers and spill
+  slots are materialized into a fresh frame, pending counters into the
+  stats, and execution resumes instruction-by-instruction on the slow
+  loop from the segment start, which then produces the byte-identical
+  fault (whichever of budget/divide/etc. comes first).  The bail runs at
+  most one segment and only on activations that are already guaranteed
+  to fault, so it costs nothing on the happy path.
 * **Faults.**  Before every instruction that can fault (``div``/
   ``mod``, heap access, ``loada``, ``call``, and any register read not
   proven initialized by a definite-assignment dataflow), the generated
   code stores the decoded pc into a local; a function-level handler
-  maps it through ``_META`` to the original-code pc (via the decode
-  ``pc_map``) and to the exact counter deltas accrued since the last
-  segment exit, reproducing the slow path's annotation (message,
-  function, pc, cycles) byte for byte.  Reads of uninitialized
+  maps it through the translation's ``meta`` table to the original-code
+  pc (via the decode ``pc_map``) and to the exact counter deltas accrued
+  since the last segment exit, reproducing the slow path's annotation
+  (message, function, pc, cycles) byte for byte.  Reads of uninitialized
   registers surface as :class:`UnboundLocalError`/:class:`NameError` on
   an ``rN`` local and are converted into the same ``MachineFault`` the
   slow loop raises.
 
-The compiled artifact is cached on the :class:`FunctionImage` next to
-the decode cache, so every machine (and every sweep cell or service
-worker touching that image) shares one translation.  Translations are
-also shared across images through a content-keyed cache (``_ARTIFACTS``)
-that holds only the generated function and its ``_META`` fault map, never
-an image: the bail path finds the running image through the machine.
-Any failure to translate falls back to the slow loop for that image
-alone.
+Ownership.  :func:`compile_decoded` returns a code object that refers to
+no image and no machine.  Each :class:`~repro.interp.machine.ProgramImage`
+keeps its own translations, made lazily on a function's first compiled
+activation (a translation depends on the program: a call site is
+specialized to its callee's arity), so they live and die with the image.
+A run binds them into a fresh namespace (:func:`run_namespace`) that
+holds the run's machine state — counters, memory, output — fetched once,
+and is cleared when the run ends.  A function the translator rejects
+runs on the slow loop alone; every other function stays compiled.
 """
 
 from __future__ import annotations
 
-import hashlib
+import builtins
 import math
 import os
 import re
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from functools import partial
+from types import CodeType, FunctionType
+from typing import Dict, List, Optional, Set, Tuple
 
 from .decode import (
     OP_ALLOCA,
@@ -93,25 +103,32 @@ from .decode import (
     OP_STORE,
     DecodedFunction,
 )
-from .machine import _div, _mod
+from .machine import _Bailout, _div, _Frame, _mod
 from .memory import MachineFault
 
-__all__ = ["PyCompiledFunction", "compile_decoded"]
+__all__ = ["PyCompiledFunction", "compile_decoded", "run_namespace"]
 
 
 @dataclass
 class PyCompiledFunction:
-    """Compiled artifact for one function's decoded content.
+    """One function's translation: the code object of its generated
+    ``def``, ready to be bound into a run's namespace.
 
-    ``fn(machine, frame)`` executes one activation and returns the
-    function's return value, raising fully annotated
-    :class:`MachineFault` on faulting runs.  The artifact references no
-    image, so it may be shared by every content-equal image.  The source
-    is not kept; ``REPRO_PYCOMPILE_DUMP=1`` prints it at compile time.
+    It references no image and no machine.  The tables the generated
+    code consults only on a fault or a bail are kept here rather than in
+    its source, which stays short.  The source is not kept;
+    ``REPRO_PYCOMPILE_DUMP=1`` prints it at compile time.
     """
 
     name: str
-    fn: Callable
+    code: CodeType
+    #: decoded pc -> (original pc, cycle, load, store, copy deltas since
+    #: the last segment exit), at every pc that can fault
+    meta: Dict[int, Tuple[int, int, int, int, int]]
+    #: dense register index -> register name, for uninitialized reads
+    regs: Tuple[str, ...]
+    #: slot local index -> frame slot name, for the bail
+    slot_names: Tuple[str, ...]
 
 
 _REG_IN_ERROR = re.compile(r"'(r\d+)'")
@@ -145,6 +162,23 @@ _INHERENT_FAULT_OPS = frozenset(
 )
 
 
+def _ident(name: str) -> str:
+    """An identifier suffix for function ``name``, distinct per name."""
+    if name.isidentifier() and name.isascii():
+        return "n_" + name
+    return "x_" + name.encode().hex()
+
+
+def function_global(name: str) -> str:
+    """The namespace global through which function ``name`` is called."""
+    return "_f" + _ident(name)
+
+
+def _counters_global(name: str) -> str:
+    """The namespace global holding function ``name``'s counters."""
+    return "_c" + _ident(name)
+
+
 def _reg_of(err: BaseException) -> Optional[int]:
     """Dense register index behind an Unbound/NameError on an ``rN`` local.
 
@@ -161,42 +195,30 @@ def _reg_of(err: BaseException) -> Optional[int]:
     return int(name[1:])
 
 
-def _bail(
-    machine,
-    name,
-    frame,
-    pc,
-    cycles,
-    loads,
-    stores,
-    copies,
-    lcls,
-    slot_names=(),
-):
+def _bail(machine, name, pc, pending, lcls):
     """Leave compiled code and replay from decoded ``pc`` on the slow loop.
 
     Called when a segment's cycle pre-check says the budget would trip
     inside it: the activation is guaranteed to fault, and the slow loop
-    is the authority on *which* instruction faults first.  The running
-    image is looked up by ``name`` in the machine's program, as generated
-    call sites do, so the shared artifact pins no image.  Register locals
-    ``rN`` move into the frame under their :class:`~repro.ir.iloc.Reg`
-    keys (``decoded.regs[N]``), promoted frame slots ``_sN`` move back
-    through ``slot_names``, and the pending counter deltas go straight
-    into the stats, which the slow loop then advances one instruction at
-    a time, so its budget check trips on the same instruction.
+    is the authority on *which* instruction faults first.  Register
+    locals ``rN`` move into a new frame under their
+    :class:`~repro.ir.iloc.Reg` keys (``decoded.regs[N]``), slot locals
+    ``_sN`` under their names (the translation's ``slot_names[N]``),
+    and the ``pending``
+    (cycles, loads, stores, copies) deltas go straight into the stats,
+    which the slow loop then advances one instruction at a time, so its
+    budget check trips on the same instruction.
 
     The resulting fault is fully flushed and annotated, so it must sail
-    *through* this activation's own generated ``except MachineFault``
-    handler (which would flush the pending deltas a second time): it
-    travels wrapped in :class:`~repro.interp.machine._Bailout` and is
-    unwrapped at the activation boundary in
-    :class:`~repro.interp.machine.Machine`.
+    *through* this activation's own ``except MachineFault`` handler
+    (which would flush the pending deltas a second time): it travels
+    wrapped in :class:`~repro.interp.machine._Bailout`, which only the
+    bailing activation's generated code unwraps.
     """
-    from .machine import _Bailout
-
     image = machine.program.functions[name]
     decoded = image._decoded
+    slot_names = machine.program._translations[name].slot_names
+    frame = _Frame(machine.memory.stack_top)
     regs = frame.regs
     slots = frame.slots
     for key, value in lcls.items():
@@ -204,6 +226,7 @@ def _bail(
             regs[decoded.regs[int(key[1:])]] = value
         elif key.startswith("_s") and key[2:].isdigit():
             slots[slot_names[int(key[2:])]] = value
+    cycles, loads, stores, copies = pending
     stats = machine.stats
     for counters in (stats.total, stats.function(name)):
         counters.cycles += cycles
@@ -351,10 +374,16 @@ def _reads_of(ins: tuple) -> Tuple[List[int], List[int]]:
 
 
 class _Emitter:
-    def __init__(self, decoded: DecodedFunction):
+    def __init__(self, program, decoded: DecodedFunction):
         self.decoded = decoded
         self.code = decoded.code
         self.n = len(decoded.code)
+        self.name = decoded.name
+        self.counters = _counters_global(decoded.name)
+        #: callee name -> arity, for every function of the program
+        self.arity = {
+            name: len(image.param_slots) for name, image in program.functions.items()
+        }
         self.blocks = _build_cfg(decoded.code)
         _definite_assignment(decoded.code, self.blocks, len(decoded.regs))
         arm_starts = {
@@ -370,27 +399,26 @@ class _Emitter:
         self.arm_set = arm_starts
         self.meta: Dict[int, Tuple[int, int, int, int, int]] = {}
         self.lines: List[str] = []
-        self.uses: Set[str] = set()
-        #: frame slots (params and spill homes) promoted to Python
-        #: locals ``_s0..``, keyed by slot name in first-reference order.
-        #: The prologue seeds each from the frame dict (parameters arrive
-        #: there; unwritten spill slots read as 0), and the bail path
-        #: materializes them back.
+        #: frame slots promoted to Python locals ``_s0..``, keyed by slot
+        #: name: the parameter slots first, in order (they are the
+        #: function's positional parameters), then every spill slot in
+        #: first-reference order (unwritten spill slots read as 0).  The
+        #: bail path materializes them back into a frame.
+        self.params = list(program.functions[decoded.name].param_slots)
         self.slot_ids: Dict[str, int] = {}
-        for ins in self.code:
-            if ins[0] == OP_LDM_SPILL:
-                slot = ins[2]
-            elif ins[0] == OP_STM_SPILL:
-                slot = ins[1]
-            else:
-                continue
-            if slot not in self.slot_ids:
-                self.slot_ids[slot] = len(self.slot_ids)
+        spill_slots = [
+            ins[2] if ins[0] == OP_LDM_SPILL else ins[1]
+            for ins in self.code
+            if ins[0] in (OP_LDM_SPILL, OP_STM_SPILL)
+        ]
+        for slot in self.params + spill_slots:
+            self.slot_ids.setdefault(slot, len(self.slot_ids))
         ops = {ins[0] for ins in self.code}
         self.has_loads = bool(ops & _LOAD_OPS)
         self.has_stores = bool(ops & _STORE_OPS)
         self.has_copies = OP_I2I in ops
-        self.guarded = self._needs_fault_wrapper()
+        self.has_alloca = OP_ALLOCA in ops
+        self.can_fault = self._can_fault()
 
     # -- small helpers -------------------------------------------------------
 
@@ -400,26 +428,25 @@ class _Emitter:
     def safe(self, assigned: int, reg: int) -> bool:
         return bool(assigned >> reg & 1)
 
-    def counter_locals(self) -> List[Tuple[str, str]]:
-        out = []
-        if self.has_loads:
-            out.append(("_ld", "loads"))
-        if self.has_stores:
-            out.append(("_st", "stores"))
-        if self.has_copies:
-            out.append(("_cp", "copies"))
-        return out
+    def counter_locals(self) -> List[Tuple[Optional[str], str]]:
+        """(pending local or None when the function never counts it, kind)."""
+        return [
+            ("_ld" if self.has_loads else None, "loads"),
+            ("_st" if self.has_stores else None, "stores"),
+            ("_cp" if self.has_copies else None, "copies"),
+        ]
 
     def flush_lines(self) -> List[str]:
-        """Fold pending cycles + traffic counters into the shared stats."""
-        out = ["_total.cycles += _cycles", "_counters.cycles += _cycles"]
+        """Fold pending cycles + traffic counters into the run's stats."""
+        out = ["_total.cycles += _cycles", f"{self.counters}.cycles += _cycles"]
         for local, kind in self.counter_locals():
-            out.append(f"if {local}:")
-            out.append(f"    _total.{kind} += {local}")
-            out.append(f"    _counters.{kind} += {local}")
+            if local is not None:
+                out.append(f"if {local}:")
+                out.append(f"    _total.{kind} += {local}")
+                out.append(f"    {self.counters}.{kind} += {local}")
         return out
 
-    def _needs_fault_wrapper(self) -> bool:
+    def _can_fault(self) -> bool:
         """Whether any instruction can raise inside the generated body."""
         if any(ins[0] in _INHERENT_FAULT_OPS for ins in self.code):
             return True
@@ -500,33 +527,52 @@ class _Emitter:
         return block.end
 
     def emit_budget_check(self, depth: int, pc: int, seg_len: int) -> None:
-        ld = "_ld" if self.has_loads else "0"
-        st = "_st" if self.has_stores else "0"
-        cp = "_cp" if self.has_copies else "0"
+        pending = ", ".join(
+            ["_cycles"] + [local or "0" for local, _ in self.counter_locals()]
+        )
         self.emit(depth, f"if _cycles + {seg_len} > _limit:")
         self.emit(
             depth + 1,
-            f"return _bail(machine, _NAME, frame, {pc}, "
-            f"_cycles, {ld}, {st}, {cp}, locals(), _SLOT_NAMES)",
+            f"return _bail({self.name!r}, {pc}, ({pending}), locals())",
         )
+
+    def deferred_from(self, first: int, call: int, assigned: int) -> int:
+        """First pc of the params ``code[first:call]`` that the call takes
+        as positional arguments: those after the last one whose read can
+        fault.  Nothing between them and the call observes the queue, so
+        their values go straight to the call; the slow loop's fault on an
+        unproven read still finds every earlier param queued."""
+        for pc in range(call - 1, first - 1, -1):
+            if not self.safe(assigned, self.code[pc][1]):
+                return pc + 1
+        return first
 
     def emit_segment(self, depth: int, start: int, stop: int, assigned: int) -> int:
         """Emit code[start:stop] (straight line, call only at the end).
 
         Counter accounting is static: ``seg_len`` cycles plus the
         segment's load/store/copy totals are added at the segment's exit
-        (fall-off, branch, return, or call flush), and ``_META`` records
-        per-instruction prefix deltas so a mid-segment fault can
+        (fall-off, branch, return, or call flush), and ``self.meta``
+        records per-instruction prefix deltas so a mid-segment fault can
         reconstruct the exact counter state the slow path would report.
         """
         code = self.code
         seg_len = stop - start
         d_ld = d_st = d_cp = 0
         closed = False
+        # The run of params directly before a segment-ending call.
+        call = first = stop - 1
+        if code[call][0] == OP_CALL:
+            while first > start and code[first - 1][0] == OP_PARAM:
+                first -= 1
+        defer_from = stop
+        deferred: List[int] = []
         for offset in range(seg_len):
             pc = start + offset
             ins = code[pc]
             op = ins[0]
+            if pc == first and first < call:
+                defer_from = self.deferred_from(first, call, assigned)
             required, conditional = _reads_of(ins)
             delta_ld = d_ld + (1 if op in _LOAD_OPS else 0)
             delta_st = d_st + (1 if op in _STORE_OPS else 0)
@@ -574,7 +620,6 @@ class _Emitter:
                 # dict ``get`` instead of two method calls.  ``bool``
                 # and ``float`` addresses take the Memory method, which
                 # owns the exact fault wording.
-                self.uses.update(("_heap_get", "_mem_load"))
                 src = f"r{ins[2]}"
                 self.emit(
                     depth,
@@ -587,7 +632,6 @@ class _Emitter:
                 # The address register is read first (in the condition),
                 # preserving the slow path's address-before-value
                 # operand evaluation for uninitialized-register faults.
-                self.uses.update(("_heap", "_mem_store"))
                 addr, val = f"r{ins[2]}", f"r{ins[1]}"
                 self.emit(depth, f"if type({addr}) is int and {addr} >= 0:")
                 self.emit(depth + 1, f"_heap[{addr}] = {val}")
@@ -598,25 +642,21 @@ class _Emitter:
                 self.emit(depth, f"r{ins[1]} = _s{self.slot_ids[ins[2]]}")
                 d_ld += 1
             elif op == OP_LDM_GLOBAL:
-                self.uses.add("_load_scalar")
                 self.emit(depth, f"r{ins[1]} = _load_scalar({ins[2]!r})")
                 d_ld += 1
             elif op == OP_STM_SPILL:
                 self.emit(depth, f"_s{self.slot_ids[ins[1]]} = r{ins[2]}")
                 d_st += 1
             elif op == OP_STM_GLOBAL:
-                self.uses.add("_store_scalar")
                 self.emit(depth, f"_store_scalar({ins[1]!r}, r{ins[2]})")
                 d_st += 1
             elif op == OP_LOADA:
-                self.uses.add("_array_base_get")
                 message = f"unknown global array {ins[2]!r}"
                 self.emit(depth, f"_t = _array_base_get({ins[2]!r})")
                 self.emit(depth, "if _t is None:")
                 self.emit(depth + 1, f"raise MachineFault({message!r})")
                 self.emit(depth, f"r{ins[1]} = _t")
             elif op == OP_ALLOCA:
-                self.uses.add("_alloca")
                 self.emit(depth, f"r{ins[1]} = _alloca({ins[2]!r})")
             elif op == OP_CBR:
                 self.emit(depth, f"_t = r{ins[1]}")
@@ -630,10 +670,13 @@ class _Emitter:
                 self.emit_goto(depth, ins[1])
                 closed = True
             elif op == OP_PARAM:
-                self.uses.add("_argq")
-                self.emit(depth, f"_argq.append(r{ins[1]})")
+                if pc >= defer_from:
+                    deferred.append(ins[1])
+                else:
+                    self.emit(depth, f"_argq.append(r{ins[1]})")
             elif op == OP_CALL:
-                self.emit_call(depth, pc, ins, seg_len, d_ld, d_st, d_cp)
+                self.emit_accounting(depth, seg_len, d_ld, d_st, d_cp)
+                self.emit_call(depth, pc, ins, deferred)
                 closed = True
             elif op == OP_RET:
                 if ins[1] is not None:
@@ -646,7 +689,6 @@ class _Emitter:
             elif op == OP_NOP:
                 pass
             elif op == OP_PRINT:
-                self.uses.add("_out_append")
                 self.emit(depth, f"_out_append(r{ins[1]})")
 
             if op in _DST_OPS:
@@ -665,145 +707,112 @@ class _Emitter:
             if value:
                 self.emit(depth, f"{local} += {value}")
 
-    def emit_call(
-        self,
-        depth: int,
-        pc: int,
-        ins: tuple,
-        seg_len: int,
-        d_ld: int,
-        d_st: int,
-        d_cp: int,
-    ) -> None:
-        """``call``: account and flush cycles first (so the callee's
-        budget check and fault annotation see an up-to-date total,
-        exactly like the slow loop's per-instruction counts), then the arity
-        check, then the activation itself."""
-        self.uses.update(("_argq", "_prog_image", "_machine_call", "_max_cycles"))
+    def emit_call(self, depth: int, pc: int, ins: tuple, deferred: List[int]) -> None:
+        """``call``: flush cycles first (so the callee's budget check and
+        fault annotation see an up-to-date total, exactly like the slow
+        loop's per-instruction counts), then the activation itself.
+
+        When the callee takes exactly the ``deferred`` params, they are
+        its positional arguments.  Otherwise they join the queue and the
+        call pops its arity from the queue's end, as the slow loop does,
+        with the same faults for an unknown callee or too few params.
+        """
         callee = ins[1]
-        self.emit_accounting(depth, seg_len, d_ld, d_st, d_cp)
         self.emit(depth, "_total.cycles += _cycles")
-        self.emit(depth, "_counters.cycles += _cycles")
+        self.emit(depth, f"{self.counters}.cycles += _cycles")
         self.emit(depth, "_cycles = 0")
         # Everything up to here is flushed before anything can raise, so
         # the fault-time deltas for the call pc itself are all zero.
         self.meta[pc] = (self.decoded.pc_map[pc], 0, 0, 0, 0)
-        message = f"call to {callee} with too few queued params"
-        self.emit(depth, f"_img = _prog_image({callee!r})")
-        self.emit(depth, "_arity = len(_img.param_slots)")
-        self.emit(depth, "_n = len(_argq)")
-        self.emit(depth, "if _n < _arity:")
-        self.emit(depth + 1, f"raise MachineFault({message!r})")
-        self.emit(depth, "_a = _argq[_n - _arity:]")
-        self.emit(depth, "del _argq[_n - _arity:]")
+        arity = self.arity.get(callee)
         target = f"r{ins[2]} = " if ins[2] is not None else ""
-        self.emit(depth, f"{target}_machine_call(_img, _a)")
+        function = function_global(callee)
+        if arity == len(deferred):
+            args = ", ".join(f"r{reg}" for reg in deferred)
+            self.emit(depth, f"{target}{function}({args})")
+        else:
+            for reg in deferred:
+                self.emit(depth, f"_argq.append(r{reg})")
+            if arity is None:
+                message = f"call to unknown function {callee!r}"
+                self.emit(depth, f"raise MachineFault({message!r})")
+                return
+            args = ""
+            if arity:
+                message = f"call to {callee} with too few queued params"
+                self.emit(depth, "_n = len(_argq)")
+                self.emit(depth, f"if _n < {arity}:")
+                self.emit(depth + 1, f"raise MachineFault({message!r})")
+                self.emit(depth, f"_a = _argq[_n - {arity}:]")
+                self.emit(depth, f"del _argq[_n - {arity}:]")
+                args = "*_a"
+            self.emit(depth, f"{target}{function}({args})")
         self.emit(depth, "_limit = _max_cycles - _total.cycles")
 
     # -- whole-function assembly ---------------------------------------------
 
     def generate(self) -> str:
-        name = self.decoded.name
         body: List[str] = []
         self.lines = body
-        base = 2 if self.guarded else 1
         if self.arms:
-            self.emit(base, "_b = 0")
-            self.emit(base, "while 1:")
-            self.emit_dispatch_tree(base + 1, 0, len(self.arms))
+            self.emit(2, "_b = 0")
+            self.emit(2, "while 1:")
+            self.emit_dispatch_tree(3, 0, len(self.arms))
         elif self.n:
-            self.emit_block_chain(base, 0)
+            self.emit_block_chain(2, 0)
         else:
-            self.emit_exit(base)
+            self.emit_exit(2)
 
-        hoists = {
-            "_mem_load": "_mem_load = machine.memory.load",
-            "_mem_store": "_mem_store = machine.memory.store",
-            "_heap": "_heap = machine.memory.heap",
-            "_heap_get": "_heap_get = machine.memory.heap.get",
-            "_load_scalar": "_load_scalar = machine.memory.load_scalar",
-            "_store_scalar": "_store_scalar = machine.memory.store_scalar",
-            "_array_base_get": "_array_base_get = machine.memory.array_base.get",
-            "_alloca": "_alloca = machine.memory.alloca",
-            "_slots": "_slots = frame.slots",
-            "_slots_get": "_slots_get = frame.slots.get",
-            "_argq": "_argq = machine._arg_queue",
-            "_prog_image": "_prog_image = machine.program.image",
-            "_machine_call": "_machine_call = machine._call_compiled",
-            "_max_cycles": "_max_cycles = machine.max_cycles",
-            "_out_append": "_out_append = machine.stats.output.append",
-        }
-        head: List[str] = [f"def {self.fn_name()}(machine, frame):"]
-        pad = "    " * base
-        if self.guarded:
-            head.append("    try:")
-        head.append(pad + "_total = machine.stats.total")
-        head.append(pad + f"_counters = machine.stats.function({name!r})")
-        head.append(pad + "_limit = machine.max_cycles - _total.cycles")
-        head.append(pad + "_cycles = 0")
-        locals_ = [local for local, _ in self.counter_locals()]
-        if locals_:
-            head.append(pad + f"{' = '.join(locals_)} = 0")
-        if self.slot_ids:
-            self.uses.add("_slots_get")
-        for key in sorted(self.uses):
-            head.append(pad + hoists[key])
-        for slot, index in self.slot_ids.items():
-            head.append(pad + f"_s{index} = _slots_get({slot!r}, 0)")
+        params = ", ".join(f"_s{self.slot_ids[slot]}" for slot in self.params)
+        head = [f"def {function_global(self.name)}({params}):"]
+        if self.has_alloca:
+            head.append("    _mark = _memory.stack_top")
+        head.append("    try:")
+        head.append("        _limit = _max_cycles - _total.cycles")
+        head.append("        _cycles = 0")
+        counters = [local for local, _ in self.counter_locals() if local]
+        spills = [f"_s{i}" for i in range(len(set(self.params)), len(self.slot_ids))]
+        for names in (counters, spills):
+            if names:
+                head.append(f"        {' = '.join(names)} = 0")
 
-        tail: List[str] = []
-        if self.guarded:
+        tail = ["    except _Bailout as _e:", "        raise _e.fault from None"]
+        if self.can_fault:
             tail.extend(self._handler("MachineFault", None))
             tail.extend(self._handler("NameError", "uninit"))
+        if self.has_alloca:
+            # Release this activation's ``alloca`` space on every exit.
+            tail.extend(["    finally:", "        _memory.stack_top = _mark"])
         return "\n".join(head + body + tail) + "\n"
-
-    def fn_name(self) -> str:
-        return f"_pyc_{_safe_ident(self.decoded.name)}"
 
     def _handler(self, exc: str, kind: Optional[str]) -> List[str]:
         """The function-level fault translator (see the module docstring)."""
-        pad = "    "
-        out = [pad + f"except {exc} as _e:"]
-        inner = pad * 2
+        out = [f"    except {exc} as _e:"]
 
         def line(text: str) -> None:
-            out.append(inner + text)
+            out.append("        " + text)
 
         if kind == "uninit":
             line("_r = _reg_of(_e)")
             line("if _r is None:")
             line("    raise")
-        line("_o, _dc, _dl, _ds, _dp = _META[pc]")
+        name = self.name
+        line(f"_o, _dc, _dl, _ds, _dp = _translation({name!r}).meta[pc]")
         line("_cycles += _dc")
-        line("_total.cycles += _cycles")
-        line("_counters.cycles += _cycles")
-        for (local, kind_name), delta in zip(
-            self.counter_locals_all(), ("_dl", "_ds", "_dp")
-        ):
-            if local is None:
-                continue
-            line(f"{local} += {delta}")
-            line(f"if {local}:")
-            line(f"    _total.{kind_name} += {local}")
-            line(f"    _counters.{kind_name} += {local}")
+        for (local, _), delta in zip(self.counter_locals(), ("_dl", "_ds", "_dp")):
+            if local is not None:
+                line(f"{local} += {delta}")
+        for text in self.flush_lines():
+            line(text)
         if kind == "uninit":
             line("raise MachineFault(")
             line("    'read of uninitialized register %s in %s'")
-            line("    % (_REGS[_r], _NAME),")
-            line("    function=_NAME, pc=_o, cycles=_total.cycles,")
+            line(f"    % (_translation({name!r}).regs[_r], {name!r}),")
+            line(f"    function={name!r}, pc=_o, cycles=_total.cycles,")
             line(") from None")
         else:
-            line(
-                "raise _e.annotate(function=_NAME, pc=_o, cycles=_total.cycles)"
-            )
+            line(f"raise _e.annotate(function={name!r}, pc=_o, cycles=_total.cycles)")
         return out
-
-    def counter_locals_all(self) -> List[Tuple[Optional[str], str]]:
-        return [
-            ("_ld" if self.has_loads else None, "loads"),
-            ("_st" if self.has_stores else None, "stores"),
-            ("_cp" if self.has_copies else None, "copies"),
-        ]
 
 
 def _literal(value) -> str:
@@ -814,54 +823,102 @@ def _literal(value) -> str:
     return repr(value)
 
 
-def _safe_ident(name: str) -> str:
-    return re.sub(r"\W", "_", name) or "fn"
+#: Translations are owned by their program image; nothing is cached at
+#: module level.  This empty dict stays only because
+#: ``perfbench/workloads/table1.py`` clears it before every sweep.
+_ARTIFACTS: Dict[bytes, PyCompiledFunction] = {}
 
 
-#: Content-keyed artifact cache shared across images.  A sweep allocates
-#: the same program once per (allocator, k) cell, and small functions
-#: frequently allocate to byte-identical code across cells; translating
-#: each distinct (name, code, pc_map, regs) once is then enough, because
-#: the generated source depends on nothing else (the executing machine
-#: and frame are call arguments, and the bail path finds the running
-#: image through the machine).  The key is a fixed-size digest of that
-#: content's ``repr``, which tells ``7`` from ``7.0`` and ``0.0`` from
-#: ``-0.0`` where tuple equality does not.  Bounded FIFO so a long-lived
-#: service daemon cannot grow it without limit.
-_ARTIFACTS: Dict[bytes, "PyCompiledFunction"] = {}
-_ARTIFACTS_MAX = 4096
+def compile_decoded(program, decoded: DecodedFunction) -> PyCompiledFunction:
+    """Translate one decoded function of ``program`` (a
+    :class:`~repro.interp.machine.ProgramImage`) to Python.
 
-
-def compile_decoded(image, decoded: DecodedFunction) -> PyCompiledFunction:
-    """Translate one decoded function into a specialized Python callable.
-
-    The artifact depends on ``decoded`` alone; ``image`` is not retained.
+    ``program`` supplies the function's parameter slots and its callees'
+    arities; the result references neither it nor any machine.
     """
-    key = hashlib.blake2b(
-        repr((decoded.name, decoded.code, decoded.pc_map, decoded.regs)).encode()
-    ).digest()
-    cached = _ARTIFACTS.get(key)
-    if cached is not None:
-        return cached
-    emitter = _Emitter(decoded)
+    emitter = _Emitter(program, decoded)
     source = emitter.generate()
     if os.environ.get("REPRO_PYCOMPILE_DUMP"):  # pragma: no cover - debug aid
         print(f"# --- pycompile {decoded.name} ---\n{source}")
-    namespace = {
+    module = compile(source, f"<pycompiled {decoded.name}>", "exec")
+    (code,) = [const for const in module.co_consts if isinstance(const, CodeType)]
+    return PyCompiledFunction(
+        name=decoded.name,
+        code=code,
+        meta=emitter.meta,
+        regs=tuple(str(reg) for reg in decoded.regs),
+        slot_names=tuple(emitter.slot_ids),
+    )
+
+
+def _translate(machine, image) -> Optional[PyCompiledFunction]:
+    """``image``'s translation in ``machine``'s program, or None when it
+    cannot be decoded or translated (the slow loop then runs it)."""
+    decoded = machine._decoded_for(image)
+    if decoded is None:
+        return None
+    started = time.perf_counter()
+    try:
+        return compile_decoded(machine.program, decoded)
+    except Exception:
+        return None
+    finally:
+        machine.pycompile_seconds += time.perf_counter() - started
+
+
+def run_namespace(machine) -> Dict[str, object]:
+    """The globals of one compiled run of ``machine.program``.
+
+    The run's state — counters, cycle budget, parameter queue, memory
+    and output — is fetched here once.  Every function starts as a
+    trampoline: its first activation translates it if the image has no
+    translation yet, binds it (or, if it cannot be translated, a call
+    into the slow loop) under :func:`function_global`, and fetches its
+    per-function counters.  The caller must ``clear()`` the namespace
+    when the run ends, which frees the bound functions and the run's
+    state while the translations stay with the image.
+    """
+    program = machine.program
+    memory = machine.memory
+    stats = machine.stats
+    translations = program._translations
+    namespace: Dict[str, object] = {
+        "__builtins__": builtins,
         "MachineFault": MachineFault,
+        "_Bailout": _Bailout,
         "_div": _div,
         "_mod": _mod,
-        "_bail": _bail,
         "_reg_of": _reg_of,
-        "_META": emitter.meta,
-        "_REGS": tuple(str(reg) for reg in decoded.regs),
-        "_NAME": decoded.name,
-        "_SLOT_NAMES": tuple(emitter.slot_ids),
+        "_translation": translations.__getitem__,
+        "_bail": partial(_bail, machine),
+        "_total": stats.total,
+        "_max_cycles": machine.max_cycles,
+        "_argq": machine._arg_queue,
+        "_out_append": stats.output.append,
+        "_memory": memory,
+        "_heap": memory.heap,
+        "_heap_get": memory.heap.get,
+        "_mem_load": memory.load,
+        "_mem_store": memory.store,
+        "_load_scalar": memory.load_scalar,
+        "_store_scalar": memory.store_scalar,
+        "_array_base_get": memory.array_base.get,
+        "_alloca": memory.alloca,
     }
-    code = compile(source, f"<pycompiled {decoded.name}>", "exec")
-    exec(code, namespace)
-    artifact = PyCompiledFunction(name=decoded.name, fn=namespace[emitter.fn_name()])
-    if len(_ARTIFACTS) >= _ARTIFACTS_MAX:
-        del _ARTIFACTS[next(iter(_ARTIFACTS))]
-    _ARTIFACTS[key] = artifact
-    return artifact
+
+    def first_activation(name, *args):
+        image = program.functions[name]
+        if name not in translations:
+            translations[name] = _translate(machine, image)
+        translation = translations[name]
+        if translation is None:
+            function = partial(machine._call_slow, image)
+        else:
+            namespace[_counters_global(name)] = stats.function(name)
+            function = FunctionType(translation.code, namespace)
+        namespace[function_global(name)] = function
+        return function(*args)
+
+    for name in program.functions:
+        namespace[function_global(name)] = partial(first_activation, name)
+    return namespace

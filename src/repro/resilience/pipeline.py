@@ -75,6 +75,19 @@ def _allocator_registry() -> Dict[str, Callable[..., Any]]:
     }
 
 
+def _drop_validation_data(result: Any) -> None:
+    """Free the parts of an ``AllocationResult`` that only the validate
+    stage reads, once it has run: the body before physical registers
+    (``virtual_code``), RAP's motion and peephole snapshots, and
+    ssaspill's certificate.  A whole program's results are kept until
+    its last function is allocated; these copies need not be."""
+    for name in ("virtual_code", "pre_motion_code", "pre_peephole_code", "cert"):
+        if hasattr(result, name):
+            setattr(result, name, None)
+    if hasattr(result, "loop_spans"):
+        result.loop_spans = {}
+
+
 class PassPipeline:
     """Runs compiler stages with verification and structured failure.
 
@@ -237,10 +250,9 @@ class PassPipeline:
                 from ..regalloc.coalesce import coalesce_function
 
                 coalesce_function(func, k)
-            results[name] = self.allocate(func, allocator, k, **alloc_kwargs)
-            functions[name] = FunctionImage(
-                name, results[name].code, param_slots(func)
-            )
+            results[name] = result = self.allocate(func, allocator, k, **alloc_kwargs)
+            _drop_validation_data(result)
+            functions[name] = FunctionImage(name, result.code, param_slots(func))
         return ProgramImage(list(module.globals.values()), functions), results
 
     def _schedule(self, func: PDGFunction, allocator: str, k: int, result):

@@ -1058,6 +1058,12 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(
             f"--job-timeout must be finite and positive, got {args.job_timeout}"
         )
+    if args.storm_window is not None and not (
+        math.isfinite(args.storm_window) and args.storm_window > 0
+    ):
+        parser.error(
+            f"--storm-window must be finite and positive, got {args.storm_window}"
+        )
 
     cache_kwargs: Dict[str, Any] = {}
     if args.cache_bytes is not None:

@@ -111,6 +111,14 @@ class Supervision:
                 "job_timeout_s must be finite and positive, "
                 f"got {self.job_timeout_s}"
             )
+        # NaN or inf never ages a death out of the window, so a tripped
+        # breaker stays tripped; zero or negative ages every death out
+        # at once, so it never trips.
+        if not (math.isfinite(self.storm_window_s) and self.storm_window_s > 0):
+            raise ValueError(
+                "storm_window_s must be finite and positive, "
+                f"got {self.storm_window_s}"
+            )
 
 
 # ----------------------------------------------------------------------------

@@ -70,14 +70,10 @@ def assert_fallback_agrees(
     # Every activated function ran on the tier the test asked for, and
     # at least one of them on the fallback (an image translated before
     # the patch would show up here as compiled).
-    activated = {
-        name: function._compiled
-        for name, function in image.functions.items()
-        if function._compiled is not None
-    }
+    activated = image._translations
     assert any(name in failing for name in activated)
-    for name, compiled in activated.items():
-        assert (compiled is False) == (name in failing)
+    for name, translation in activated.items():
+        assert (translation is None) == (name in failing)
     return slow_fault
 
 

@@ -8,7 +8,6 @@ original-code coordinates, even though the generated Python executes
 label-stripped code and only reconciles counters at segment boundaries.
 """
 
-import gc
 import os
 import weakref
 
@@ -337,6 +336,27 @@ class TestBudgetBail:
         assert fault is not None
         assert "cycle budget exceeded" in fault[0]
 
+    def test_loop_segment_bail_coordinates(self):
+        # Two entry cycles, then a five-cycle loop body with no call:
+        # one straight-line segment per iteration.  2 + 5 + 5 = 12
+        # cycles fit in 13; the third iteration's segment does not, so
+        # compiled code bails there and the slow loop faults on that
+        # segment's second instruction.
+        image = single_image(
+            [
+                iloc.loadi(0, vreg(0)),
+                iloc.loadi(1, vreg(1)),
+                iloc.label("loop"),
+                iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
+                iloc.jmp("loop"),
+            ]
+        )
+        fault = assert_tiers_agree(image, entry="f", max_cycles=13)
+        assert fault == ("cycle budget exceeded in f", "f", 4, 14)
+
 
 class TestTierSelection:
     """Tier resolution, forcing precedence, and demotion to the slow
@@ -376,7 +396,7 @@ class TestTierSelection:
         machine.run("main")
         assert machine.stats.output == [45]
         assert machine.stats.interp_tier == "compiled"
-        assert image.functions["main"]._compiled is not None
+        assert image._translations["main"] is not None
         assert image.functions["main"]._decoded is not None
         assert machine.pycompile_seconds > 0.0
         assert machine.decode_seconds > 0.0
@@ -390,14 +410,14 @@ class TestTierSelection:
         assert machine.stats.output == [45]
         assert machine.stats.interp_tier == "slow"
         assert tracer.events  # the slow path actually recorded
-        assert image.functions["main"]._compiled is None
+        assert not image._translations
         assert image.functions["main"]._decoded is None
 
     def test_slow_tier_translates_nothing(self):
         image = self.source_image()
         machine = Machine(image, tier="slow")
         machine.run("main")
-        assert image.functions["main"]._compiled is None
+        assert not image._translations
         assert image.functions["main"]._decoded is None
 
     def test_armed_fault_plan_demotes_compiled_env(self, monkeypatch):
@@ -413,7 +433,7 @@ class TestTierSelection:
         assert machine.stats.output == [45]
         assert machine.stats.interp_tier == "slow"
         # Nothing was translated or decoded behind the plan's back.
-        assert image.functions["main"]._compiled is None
+        assert not image._translations
         assert image.functions["main"]._decoded is None
         # Annotations identical to an explicitly slow run.
         slow_stats, _ = execute(self.source_image(), "slow")
@@ -429,20 +449,12 @@ class TestTierSelection:
         machine.stats.output.clear()
         machine.run("main")
         assert machine.stats.interp_tier == "compiled"
-        assert image.functions["main"]._compiled is not None
+        assert image._translations["main"] is not None
 
 
-class TestArtifactCache:
-    """The content-addressed translation cache must key apart immediates
-    that compare equal (``7.0 == 7``, ``-0.0 == 0.0``), share one
-    artifact between structurally identical functions, and keep no image
-    alive: a shared artifact finds its running image through the machine.
-    """
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        """A private, empty translation cache for each test."""
-        monkeypatch.setattr(pycompile, "_ARTIFACTS", {})
+class TestImmediateCodegen:
+    """Immediates that compare equal (``7.0 == 7``, ``-0.0 == 0.0``) must
+    each be emitted as themselves."""
 
     @staticmethod
     def _div_image(numerator):
@@ -455,29 +467,15 @@ class TestArtifactCache:
             ]
         )
 
-    def test_float_and_int_immediates_do_not_collide(self):
-        int_result = Machine(self._div_image(7), tier="compiled").run("f")
-        float_result = Machine(self._div_image(7.0), tier="compiled").run("f")
-        assert int_result == 3
-        assert float_result == 3.5
-        # And in the other arrival order, with fresh images.
-        float_again = Machine(self._div_image(7.0), tier="compiled").run("f")
-        int_again = Machine(self._div_image(7), tier="compiled").run("f")
-        assert float_again == 3.5
-        assert int_again == 3
+    def test_float_and_int_immediates_stay_apart(self):
+        for order in ((7, 7.0), (7.0, 7)):
+            for value in order:
+                image = self._div_image(value)
+                result = Machine(image, tier="compiled").run("f")
+                assert result == (3 if type(value) is int else 3.5)
+                assert type(result) is type(value)
 
-    def test_identical_functions_share_one_artifact(self):
-        first = self._div_image(7)
-        second = self._div_image(7)
-        Machine(first, tier="compiled").run("f")
-        Machine(second, tier="compiled").run("f")
-        assert first.functions["f"]._compiled is not None
-        assert (
-            first.functions["f"]._compiled
-            is second.functions["f"]._compiled
-        )
-
-    def test_signed_zero_immediates_do_not_collide(self):
+    def test_signed_zero_immediates_stay_apart(self):
         def zero_image(value):
             return single_image(
                 [
@@ -493,54 +491,155 @@ class TestArtifactCache:
             return [repr(item) for item in stats.output]
 
         for order in ((0.0, -0.0), (-0.0, 0.0)):
-            pycompile._ARTIFACTS.clear()
             for value in order:
                 assert printed(value, "compiled") == printed(value, "slow")
         assert printed(-0.0, "compiled") == ["-0.0"]
 
-    def test_cache_pins_no_image(self):
-        image = self._div_image(7)
+
+def _track_translations(monkeypatch):
+    """Weak references to every translation ``compile_decoded`` makes
+    from now on (to the result and to its code object)."""
+    made = []
+    translate = pycompile.compile_decoded
+
+    def compile_decoded(program, decoded):
+        result = translate(program, decoded)
+        made.extend((weakref.ref(result), weakref.ref(result.code)))
+        return result
+
+    monkeypatch.setattr(pycompile, "compile_decoded", compile_decoded)
+    return made
+
+
+class TestTranslationOwnership:
+    """Translations belong to their program image: made once per image,
+    freed with it, and pinned by nothing else."""
+
+    def test_translations_die_with_image_and_machine(self, monkeypatch):
+        made = _track_translations(monkeypatch)
+        image = compile_source(CALLS_SOURCE).reference_image()
         machine = Machine(image, tier="compiled")
-        assert machine.run("f") == 3
-        function = image.functions["f"]
-        artifact = function._compiled
-        image_ref = weakref.ref(function)
-        decoded_ref = weakref.ref(function._decoded)
-        del machine, image, function
-        gc.collect()
-        assert image_ref() is None
-        assert decoded_ref() is None
-        assert artifact in pycompile._ARTIFACTS.values()
+        machine.run("main")
+        assert made and all(ref() is not None for ref in made)
+        # A second run binds the image's translations again.
+        count = len(made)
+        machine.stats.output.clear()
+        machine.run("main")
+        assert len(made) == count
+        del machine, image
+        assert all(ref() is None for ref in made)
 
-    def test_bail_on_shared_artifact_after_first_image_is_gone(self):
-        def loop_image():
-            # Two entry cycles, then a five-cycle loop body with no call:
-            # one straight-line segment per iteration.
-            return single_image(
-                [
-                    iloc.loadi(0, vreg(0)),
-                    iloc.loadi(1, vreg(1)),
-                    iloc.label("loop"),
-                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
-                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
-                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
-                    iloc.binary(Op.ADD, vreg(0), vreg(1), vreg(0)),
-                    iloc.jmp("loop"),
-                ]
-            )
+    def test_harness_cell_leaves_no_translation_alive(self, monkeypatch):
+        from repro.bench.harness import Harness
 
-        first = loop_image()
-        artifact = first.functions["f"].compiled_or_none()
-        assert artifact is not None
-        first_ref = weakref.ref(first.functions["f"])
-        del first
-        gc.collect()
-        assert first_ref() is None
+        made = _track_translations(monkeypatch)
+        bench = program("perm")
+        harness = Harness([bench])
+        run = harness.run(bench, "rap", 3)
+        assert not run.fallbacks_taken
+        assert made
+        assert all(ref() is None for ref in made)
 
-        second = loop_image()
-        # 2 + 5 + 5 = 12 cycles fit in 13; the third iteration's segment
-        # does not, so compiled code bails there and the slow loop faults
-        # on that segment's second instruction.
-        fault = assert_tiers_agree(second, entry="f", max_cycles=13)
-        assert second.functions["f"]._compiled is artifact
-        assert fault == ("cycle budget exceeded in f", "f", 4, 14)
+    def test_functions_compile_per_image(self, monkeypatch):
+        made = _track_translations(monkeypatch)
+        source = compile_source(CALLS_SOURCE)
+        for _ in range(2):
+            execute(source.reference_image(), "compiled")
+        first = len(made)
+        # The reference image is cached: its translations are reused.
+        assert first > 0
+        execute(allocated_image(source, "gra", 3), "compiled")
+        assert len(made) == 2 * first
+
+
+CALLS_SOURCE = """
+int depth(int n) {
+    if (n == 0) { return 0; }
+    return depth(n - 1) + 1;
+}
+int add3(int a, int b, int c) { return a + b + c; }
+void main() {
+    print(depth(150));
+    print(add3(1, depth(3), 5));
+}
+"""
+
+
+class TestDirectCalls:
+    """Guest calls are direct Python calls between translated functions:
+    a budget that trips inside a callee, at any depth, must give the
+    slow loop's fault and counters."""
+
+    @staticmethod
+    def assert_stack_released(image, max_cycles):
+        for tier in ("slow", "compiled"):
+            machine = Machine(image, max_cycles=max_cycles, tier=tier)
+            with pytest.raises(MachineFault):
+                machine.run("main")
+            assert machine.memory.stack_top == machine.memory.stack_base
+
+    @pytest.mark.parametrize("budget", [100, 5_000, 123_457, 1_000_000])
+    def test_perm_budget_trips_in_callee(self, budget):
+        bench = program("perm")
+        prog = compile_source(bench.source(), filename=bench.filename)
+        image = prog.reference_image()
+        fault = assert_tiers_agree(image, max_cycles=budget)
+        assert fault is not None
+        assert "cycle budget exceeded" in fault[0]
+        assert fault[1] != "main"
+
+    @pytest.mark.parametrize("budget", [300, 800, 1_000, 1_500, 1_690])
+    def test_deep_recursion_budget_trips_in_callee(self, budget):
+        image = compile_source(CALLS_SOURCE).reference_image()
+        fault = assert_tiers_agree(image, max_cycles=budget)
+        assert fault is not None
+        assert fault[:2] == (f"cycle budget exceeded in depth", "depth")
+
+    def test_deep_recursion_runs_to_completion(self):
+        image = compile_source(CALLS_SOURCE).reference_image()
+        assert assert_tiers_agree(image) is None
+        stats, _ = execute(image, "compiled")
+        assert stats.output == [150, 9]
+
+    def test_alloca_callee_releases_stack_on_fault(self):
+        image = compile_source(BUDGET_SOURCE).reference_image()
+        self.assert_stack_released(image, 5_000)
+
+    def test_params_queued_across_calls(self):
+        # ``param`` before a call to a nullary function stays queued for
+        # the next call, which finds its argument there.
+        g = FunctionImage("g", [Instr(Op.RET)], [])
+        h = FunctionImage(
+            "h",
+            [
+                iloc.ldm(Symbol("h.%arg0", "spill"), vreg(0)),
+                Instr(Op.RET, srcs=[vreg(0)]),
+            ],
+            ["h.%arg0"],
+        )
+        image = single_image(
+            [
+                iloc.loadi(42, vreg(0)),
+                Instr(Op.PARAM, srcs=[vreg(0)]),
+                Instr(Op.CALL, callee="g"),
+                Instr(Op.CALL, callee="h", dst=vreg(1)),
+                Instr(Op.PRINT, srcs=[vreg(1)]),
+                Instr(Op.RET),
+            ],
+            extra={"g": g, "h": h},
+        )
+        assert assert_tiers_agree(image, entry="f") is None
+        stats, _ = execute(image, "compiled", entry="f")
+        assert stats.output == [42]
+
+    def test_unknown_callee_after_params(self):
+        image = single_image(
+            [
+                iloc.loadi(1, vreg(0)),
+                Instr(Op.PARAM, srcs=[vreg(0)]),
+                Instr(Op.CALL, callee="nope"),
+                Instr(Op.RET),
+            ]
+        )
+        fault = assert_tiers_agree(image, entry="f")
+        assert fault == ("call to unknown function 'nope'", "f", 2, 3)

@@ -534,9 +534,11 @@ class TestTCPLayer:
 
 
 class TestServiceLimits:
-    """A queue with no slots refuses every compile as "queue full", and a
+    """A queue with no slots refuses every compile as "queue full"; a
     watchdog budget that is not finite and positive kills healthy jobs
-    and quarantines their keys as poison pills."""
+    and quarantines their keys as poison pills; and a storm window that
+    is not finite and positive keeps the restart-storm breaker tripped
+    for good or never trips it."""
 
     def test_service_rejects_empty_queue(self):
         with pytest.raises(ValueError, match="queue_limit must be at least 1"):
@@ -549,14 +551,29 @@ class TestServiceLimits:
         with pytest.raises(ValueError, match="finite and positive"):
             Supervision(job_timeout_s=timeout)
 
+    @pytest.mark.parametrize("window", [0, -1.0, float("nan"), float("inf")])
+    def test_supervision_rejects_bad_storm_window(self, window):
+        from repro.service.workers import Supervision
+
+        with pytest.raises(ValueError, match="storm_window_s must be finite"):
+            Supervision(storm_window_s=window)
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--queue-limit", "0", "--queue-limit must be at least 1"),
             ("--job-timeout", "0", "--job-timeout must be finite and positive"),
             ("--job-timeout", "nan", "--job-timeout must be finite and positive"),
+            ("--storm-window", "nan", "--storm-window must be finite and positive"),
+            ("--storm-window", "-1", "--storm-window must be finite and positive"),
         ],
-        ids=["queue-limit-0", "job-timeout-0", "job-timeout-nan"],
+        ids=[
+            "queue-limit-0",
+            "job-timeout-0",
+            "job-timeout-nan",
+            "storm-window-nan",
+            "storm-window-negative",
+        ],
     )
     def test_serve_rejects_bad_limits(self, flag, value, message):
         src = Path(__file__).resolve().parents[2] / "src"
