@@ -11,11 +11,31 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .errors import SourceLocation
+from .tokens import TokenKind
 
 # Scalar type names used throughout the compiler.
 INT = "int"
 FLOAT = "float"
 VOID = "void"
+
+# Binary operators by precedence, loosest first, as in C; every one
+# associates to the left.  The parser climbs this table and the
+# pretty-printer parenthesizes by it (``Binary.op`` is the kind's value).
+BINARY_PRECEDENCE = {
+    TokenKind.OR: 1,
+    TokenKind.AND: 2,
+    TokenKind.EQ: 3,
+    TokenKind.NE: 3,
+    TokenKind.LT: 4,
+    TokenKind.LE: 4,
+    TokenKind.GT: 4,
+    TokenKind.GE: 4,
+    TokenKind.PLUS: 5,
+    TokenKind.MINUS: 5,
+    TokenKind.STAR: 6,
+    TokenKind.SLASH: 6,
+    TokenKind.PERCENT: 6,
+}
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hand-written lexer for Mini-C.
+"""Regular-expression lexer for Mini-C.
 
 Mini-C is the small imperative language in which all benchmark programs of
 this reproduction are written.  It is a strict subset of C: ``int`` and
@@ -7,156 +7,79 @@ with recursion, ``if``/``while``/``for`` control flow, and a ``print``
 builtin used by the test suite to compare observable behaviour across
 register allocators.
 
-The lexer supports ``//`` line comments and ``/* ... */`` block comments.
+One master pattern with a named group per lexeme class scans the source.
+Operator spellings and keywords are read off :class:`TokenKind`, so each is
+written down once.  Trivia is whitespace (space, tab, CR, LF), ``//`` line
+comments and ``/* ... */`` block comments; line and column are tracked by
+counting the newlines in the trivia skipped.  Numbers are ASCII digits, as
+in C; identifiers start with a letter or ``_`` (``str.isalpha``) and
+continue with letters, digits or ``_`` (``str.isalnum``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
 
-_TWO_CHAR_OPS = {
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
+# Every terminal spelled by its value other than a keyword: punctuation and operators.
+_OPERATORS = {
+    kind.value: kind
+    for kind in TokenKind
+    if not kind.value.isidentifier() and kind is not TokenKind.EOF
 }
 
-_ONE_CHAR_OPS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
-
-
-class Lexer:
-    """Converts Mini-C source text into a stream of :class:`Token`."""
-
-    def __init__(self, source: str, filename: str = "<string>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, ending with a single EOF token."""
-        while True:
-            self._skip_trivia()
-            if self._pos >= len(self._source):
-                yield Token(TokenKind.EOF, "", self._location())
-                return
-            yield self._next_token()
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._source):
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        location = self._location()
-        ch = self._peek()
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(location)
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier(location)
-
-        two = ch + self._peek(1)
-        if two in _TWO_CHAR_OPS:
-            self._advance(2)
-            return Token(_TWO_CHAR_OPS[two], two, location)
-        if ch in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(_ONE_CHAR_OPS[ch], ch, location)
-
-        raise LexError(f"unexpected character {ch!r}", location)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        start = self._pos
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == ".":
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E"):
-            is_float = True
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            if not self._peek().isdigit():
-                raise LexError("malformed exponent", self._location())
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start:self._pos]
-        if is_float:
-            return Token(TokenKind.FLOAT_LIT, text, location, float(text))
-        return Token(TokenKind.INT_LIT, text, location, int(text))
-
-    def _lex_identifier(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start:self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, location)
+_TOKEN_RE = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)+)"
+    # A `/*` that the trivia group could not close.
+    r"|(?P<open_comment>/\*)"
+    # The exponent's digits are optional here so that `1e`, `1e+` and
+    # `1else` are reported as malformed rather than split.
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)"
+    r"|(?P<name>\w+)"
+    # Longest spelling first, so `<=` is never read as `<` then `=`.
+    r"|(?P<op>"
+    + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+    + ")"
+)
 
 
 def tokenize(source: str, filename: str = "<string>") -> List[Token]:
     """Tokenize ``source`` and return the complete token list (incl. EOF)."""
-    return list(Lexer(source, filename).tokens())
+    tokens: List[Token] = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        match = _TOKEN_RE.match(source, pos)
+        group = match.lastgroup if match else None
+        if group == "trivia":
+            newlines = source.count("\n", pos, match.end())
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, match.end()) + 1
+            pos = match.end()
+            continue
+        location = SourceLocation(line, pos - line_start + 1, filename)
+        first = source[pos]
+        if group is None or (group == "name" and not (first.isalpha() or first == "_")):
+            raise LexError(f"unexpected character {first!r}", location)
+        if group == "open_comment":
+            raise LexError("unterminated block comment", location)
+        text = match.group()
+        pos = match.end()
+        if group == "number":
+            if text[-1] in "eE+-":
+                end = SourceLocation(line, pos - line_start + 1, filename)
+                raise LexError("malformed exponent", end)
+            if text.isdigit():
+                tokens.append(Token(TokenKind.INT_LIT, text, location, int(text)))
+            else:
+                tokens.append(Token(TokenKind.FLOAT_LIT, text, location, float(text)))
+        elif group == "name":
+            tokens.append(Token(KEYWORDS.get(text, TokenKind.IDENT), text, location))
+        else:
+            tokens.append(Token(_OPERATORS[text], text, location))
+    end = SourceLocation(line, pos - line_start + 1, filename)
+    tokens.append(Token(TokenKind.EOF, "", end))
+    return tokens

@@ -14,7 +14,16 @@ Grammar (EBNF):
                | 'return' [expr] ';' | 'print' '(' expr ')' ';'
     assign    := lvalue '=' expr
     lvalue    := IDENT {'[' expr ']'}
-    expr      := standard C precedence: || && == != < <= > >= + - * / % unary
+    expr      := unary {binop unary}
+    unary     := ('-' | '!') unary | primary
+    primary   := INT | FLOAT | '(' expr ')' | IDENT '(' [expr {',' expr}] ')'
+               | IDENT {'[' expr ']'}
+
+Every ``INT`` extent in a declarator must be positive, and an lvalue or
+primary takes at most two subscripts.  Binary expressions are parsed by
+precedence climbing over :data:`repro.frontend.ast.BINARY_PRECEDENCE`
+(C's precedence, all left-associative), the table the pretty-printer
+parenthesizes by.
 
 Expressions are side-effect free except calls; assignment is a statement,
 which keeps the PDG construction (one region node per source statement)
@@ -119,10 +128,16 @@ class Parser:
             self._expect(TokenKind.RBRACKET)
             dims.append(0)
             if self._match(TokenKind.LBRACKET):
-                extent = self._expect(TokenKind.INT_LIT)
-                self._expect(TokenKind.RBRACKET)
-                dims.append(int(extent.value))  # type: ignore[arg-type]
+                dims.append(self._parse_extent())
         return ast.Param(name, base_type, location, dims)
+
+    def _parse_extent(self) -> int:
+        """``INT ']'`` after a declarator's ``'['``: a positive array extent."""
+        extent = self._expect(TokenKind.INT_LIT)
+        if extent.value <= 0:  # type: ignore[operator]
+            raise ParseError("array extent must be positive", extent.location)
+        self._expect(TokenKind.RBRACKET)
+        return int(extent.value)  # type: ignore[arg-type]
 
     def _parse_var_decl(self, global_scope: bool = False) -> ast.VarDecl:
         location = self._peek().location
@@ -130,11 +145,7 @@ class Parser:
         name = self._expect(TokenKind.IDENT).text
         dims: List[int] = []
         while self._match(TokenKind.LBRACKET):
-            extent = self._expect(TokenKind.INT_LIT)
-            if int(extent.value) <= 0:  # type: ignore[arg-type]
-                raise ParseError("array extent must be positive", extent.location)
-            dims.append(int(extent.value))  # type: ignore[arg-type]
-            self._expect(TokenKind.RBRACKET)
+            dims.append(self._parse_extent())
         if len(dims) > 2:
             raise ParseError("at most two array dimensions supported", location)
         init: Optional[ast.Expr] = None
@@ -188,22 +199,10 @@ class Parser:
 
     def _parse_assign(self) -> ast.Assign:
         location = self._peek().location
-        target = self._parse_lvalue()
+        target = self._parse_name_suffix(self._expect(TokenKind.IDENT))
         self._expect(TokenKind.ASSIGN)
         value = self._parse_expr()
         return ast.Assign(location, target, value)
-
-    def _parse_lvalue(self) -> Union[ast.Name, ast.Index]:
-        token = self._expect(TokenKind.IDENT)
-        if self._at(TokenKind.LBRACKET):
-            indices: List[ast.Expr] = []
-            while self._match(TokenKind.LBRACKET):
-                indices.append(self._parse_expr())
-                self._expect(TokenKind.RBRACKET)
-            if len(indices) > 2:
-                raise ParseError("at most two array dimensions", token.location)
-            return ast.Index(token.location, token.text, indices)
-        return ast.Name(token.location, token.text)
 
     def _parse_if(self) -> ast.If:
         location = self._expect(TokenKind.KW_IF).location
@@ -252,43 +251,17 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_binary_level(self, sub, kinds) -> ast.Expr:
-        left = sub()
-        while self._peek().kind in kinds:
-            op = self._advance()
-            right = sub()
+    def _parse_expr(self, min_prec: int = 1) -> ast.Expr:
+        """Operands joined by operators of precedence ``min_prec`` or tighter."""
+        left = self._parse_unary()
+        while True:
+            op = self._peek()
+            prec = ast.BINARY_PRECEDENCE.get(op.kind, 0)
+            if prec < min_prec:
+                return left
+            self._advance()
+            right = self._parse_expr(prec + 1)
             left = ast.Binary(op.location, op.text, left, right)
-        return left
-
-    def _parse_or(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_and, (TokenKind.OR,))
-
-    def _parse_and(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_equality, (TokenKind.AND,))
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_relational, (TokenKind.EQ, TokenKind.NE)
-        )
-
-    def _parse_relational(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_additive,
-            (TokenKind.LT, TokenKind.LE, TokenKind.GT, TokenKind.GE),
-        )
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_multiplicative, (TokenKind.PLUS, TokenKind.MINUS)
-        )
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_unary, (TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT)
-        )
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
@@ -321,16 +294,20 @@ class Parser:
                         args.append(self._parse_expr())
                 self._expect(TokenKind.RPAREN)
                 return ast.Call(token.location, token.text, args)
-            if self._at(TokenKind.LBRACKET):
-                indices: List[ast.Expr] = []
-                while self._match(TokenKind.LBRACKET):
-                    indices.append(self._parse_expr())
-                    self._expect(TokenKind.RBRACKET)
-                if len(indices) > 2:
-                    raise ParseError("at most two array dimensions", token.location)
-                return ast.Index(token.location, token.text, indices)
-            return ast.Name(token.location, token.text)
+            return self._parse_name_suffix(token)
         raise ParseError(f"expected expression, found {token.text!r}", token.location)
+
+    def _parse_name_suffix(self, name: Token) -> Union[ast.Name, ast.Index]:
+        """``{'[' expr ']'}`` after identifier ``name``: a variable or an element."""
+        if not self._at(TokenKind.LBRACKET):
+            return ast.Name(name.location, name.text)
+        indices: List[ast.Expr] = []
+        while self._match(TokenKind.LBRACKET):
+            indices.append(self._parse_expr())
+            self._expect(TokenKind.RBRACKET)
+        if len(indices) > 2:
+            raise ParseError("at most two array dimensions", name.location)
+        return ast.Index(name.location, name.text, indices)
 
 
 def parse(source: str, filename: str = "<string>") -> ast.Program:

@@ -11,24 +11,9 @@ from __future__ import annotations
 from typing import List
 
 from . import ast
+from .tokens import TokenKind
 
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
-
-_UNARY_PRECEDENCE = 7
+_UNARY_PRECEDENCE = max(ast.BINARY_PRECEDENCE.values()) + 1
 
 
 def pretty_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
@@ -56,7 +41,7 @@ def pretty_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
             text = f"-({inner})"
         return text if parent_prec < _UNARY_PRECEDENCE else f"({text})"
     if isinstance(expr, ast.Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = ast.BINARY_PRECEDENCE[TokenKind(expr.op)]
         left = pretty_expr(expr.left, prec - 1)   # left-assoc: allow equal
         right = pretty_expr(expr.right, prec)     # right side needs higher
         text = f"{left} {expr.op} {right}"

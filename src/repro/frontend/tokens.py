@@ -58,17 +58,7 @@ class TokenKind(enum.Enum):
     EOF = "<eof>"
 
 
-KEYWORDS = {
-    "int": TokenKind.KW_INT,
-    "float": TokenKind.KW_FLOAT,
-    "void": TokenKind.KW_VOID,
-    "if": TokenKind.KW_IF,
-    "else": TokenKind.KW_ELSE,
-    "while": TokenKind.KW_WHILE,
-    "for": TokenKind.KW_FOR,
-    "return": TokenKind.KW_RETURN,
-    "print": TokenKind.KW_PRINT,
-}
+KEYWORDS = {kind.value: kind for kind in TokenKind if kind.name.startswith("KW_")}
 
 
 @dataclass(frozen=True)

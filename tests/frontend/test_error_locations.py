@@ -55,3 +55,53 @@ class TestLexLocations:
             parse("void f() {\n  int x@;\n}")
         assert err.value.location.line == 2
         assert err.value.location.column == 8
+
+
+# Every message the lexer and parser raise, with its exact text and
+# file:line:col.
+FRONTEND_ERRORS = [
+    (LexError, "void f() {\n  int x@;\n}\n",
+     "prog.mc:2:8: unexpected character '@'"),
+    (LexError, "void f() {\n  float y;\n  y = 1e;\n}\n",
+     "prog.mc:3:9: malformed exponent"),
+    (LexError, "void f() {\n  float y;\n  y = 2.5e+;\n}\n",
+     "prog.mc:3:12: malformed exponent"),
+    (LexError, "void f() {\n  int y;\n  if (y) y = 1else y = 2;\n}\n",
+     "prog.mc:3:16: malformed exponent"),
+    (LexError, "int x;\n  /* never\nclosed\n",
+     "prog.mc:2:3: unterminated block comment"),
+    (ParseError, "void f() {\n    int x;\n    x = 1\n}\n",
+     "prog.mc:4:1: expected ';', found '}'"),
+    (ParseError, "int x",
+     "prog.mc:1:6: expected ';', found '<eof>'"),
+    (ParseError, "void f() { }\nbanana\n",
+     "prog.mc:2:1: expected declaration, found 'banana'"),
+    (ParseError, "void f() {\n  int x;\n  ;\n}\n",
+     "prog.mc:3:3: expected statement, found ';'"),
+    (ParseError, "void f() {\n  print(+);\n}\n",
+     "prog.mc:2:9: expected expression, found '+'"),
+    (ParseError, "int f(void x) {\n  return 0;\n}\n",
+     "prog.mc:1:7: expected type, found 'void'"),
+    (ParseError, "void x;\n",
+     "prog.mc:1:1: expected type, found 'void'"),
+    (ParseError, "int a[0];\n",
+     "prog.mc:1:7: array extent must be positive"),
+    (ParseError, "void f() {\n  float m[2][2][2];\n}\n",
+     "prog.mc:2:3: at most two array dimensions supported"),
+    (ParseError, "int m[2][2];\nvoid f() {\n  m[0][1][1] = 0;\n}\n",
+     "prog.mc:3:3: at most two array dimensions"),
+    (ParseError, "int m[2][2];\nvoid f() {\n  print(m[0][1][1]);\n}\n",
+     "prog.mc:3:9: at most two array dimensions"),
+    (ParseError, "int a[3] = 1;\n",
+     "prog.mc:1:1: array initializers are not supported"),
+]
+
+
+@pytest.mark.parametrize(
+    "error, source, text", FRONTEND_ERRORS, ids=[text for _, _, text in FRONTEND_ERRORS]
+)
+def test_frontend_error_text(error, source, text):
+    with pytest.raises(error) as err:
+        parse(source, filename="prog.mc")
+    assert type(err.value) is error
+    assert str(err.value) == text

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import compile_source
 from repro.frontend.errors import LexError
 from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import TokenKind
@@ -76,6 +77,28 @@ class TestNumbers:
     def test_malformed_exponent_raises(self):
         with pytest.raises(LexError):
             tokenize("1e+")
+
+    @pytest.mark.parametrize(
+        "source, char, column",
+        [
+            ("print(2\u00b2);", "\u00b2", 8),
+            ("x = \u0663;", "\u0663", 5),
+            ("1.\u0665", "\u0665", 3),
+        ],
+    )
+    def test_non_ascii_digit_is_unexpected_character(self, source, char, column):
+        # Numbers are ASCII [0-9], as in C.
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert err.value.message == f"unexpected character {char!r}"
+        assert err.value.location.column == column
+
+    def test_non_ascii_digit_fails_compile_with_frontend_error(self):
+        with pytest.raises(LexError):
+            compile_source("void main() { print(2\u00b2); }")
+
+    def test_non_ascii_digit_may_continue_identifier(self):
+        assert texts("x\u00b2 + 1") == ["x\u00b2", "+", "1"]
 
     def test_int_then_dot_digit_is_float(self):
         token = tokenize("12.75")[0]

@@ -5,6 +5,7 @@ import pytest
 from repro.frontend import ast
 from repro.frontend.errors import ParseError
 from repro.frontend.parser import parse
+from repro.frontend.pretty import pretty_expr
 
 
 def parse_stmts(body):
@@ -47,6 +48,10 @@ class TestTopLevel:
     def test_zero_extent_rejected(self):
         with pytest.raises(ParseError):
             parse("int m[0];")
+
+    def test_zero_column_extent_in_param_rejected(self):
+        with pytest.raises(ParseError, match="array extent must be positive"):
+            parse("int f(int a[][0]) { return 0; }")
 
     def test_function_with_params(self):
         func = parse("int f(int a, float b) { return a; }").functions[0]
@@ -200,3 +205,37 @@ class TestExpressions:
     def test_unclosed_paren_rejected(self):
         with pytest.raises(ParseError):
             parse_expr("(1 + 2")
+
+
+# C's binary operators, tightest first (K&R, table 2-1); each level is
+# left-associative.  Written out here so the test checks the parser's
+# table rather than repeating it.
+C_LEVELS = [
+    ("*", "/", "%"),
+    ("+", "-"),
+    ("<", "<=", ">", ">="),
+    ("==", "!="),
+    ("&&",),
+    ("||",),
+]
+C_TIGHTNESS = {op: -level for level, ops in enumerate(C_LEVELS) for op in ops}
+
+
+def shape(expr):
+    if isinstance(expr, ast.Binary):
+        return (expr.op, shape(expr.left), shape(expr.right))
+    assert isinstance(expr, ast.Name)
+    return expr.name
+
+
+class TestOperatorPairs:
+    @pytest.mark.parametrize("op2", list(C_TIGHTNESS))
+    @pytest.mark.parametrize("op1", list(C_TIGHTNESS))
+    def test_pair_shape_and_pretty_roundtrip(self, op1, op2):
+        tree = parse_expr(f"a {op1} b {op2} c")
+        if C_TIGHTNESS[op1] >= C_TIGHTNESS[op2]:
+            expected = (op2, (op1, "a", "b"), "c")
+        else:
+            expected = (op1, "a", (op2, "b", "c"))
+        assert shape(tree) == expected
+        assert shape(parse_expr(pretty_expr(tree))) == expected

@@ -164,7 +164,6 @@ class TestSigtermDrain:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", str(port),
-                "--worker-mode", "process",
                 "--workers", "1",
                 "--job-timeout", "2",
                 "--chaos",

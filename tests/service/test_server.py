@@ -600,7 +600,7 @@ class TestWorkerCount:
         done = subprocess.run(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--worker-mode", "process", "--workers", "0",
+                "--workers", "0",
             ],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,

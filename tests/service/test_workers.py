@@ -478,7 +478,6 @@ class TestDaemonKillOrphans:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", str(port),
-                "--worker-mode", "process",
                 "--workers", "2",
             ],
             stdout=subprocess.PIPE,
