@@ -8,6 +8,7 @@ output.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from . import ast
@@ -21,8 +22,11 @@ def pretty_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, ast.IntLit):
         return str(expr.value)
     if isinstance(expr, ast.FloatLit):
+        if math.isinf(expr.value):
+            # An overflowing literal: repr's "inf" would parse as a name.
+            return "1e999"
         text = repr(expr.value)
-        return text if ("." in text or "e" in text or "n" in text) else text + ".0"
+        return text if ("." in text or "e" in text) else text + ".0"
     if isinstance(expr, ast.Name):
         return expr.name
     if isinstance(expr, ast.Index):

@@ -60,7 +60,6 @@ class PDGFunction:
         self.params = params
         self.entry = Region(kind="entry", note=f"entry of {name}")
         self._next_vreg = 0
-        self._next_spill = 0
         #: monotonic mutation counter: every mutation entry point (spill
         #: insertion, rematerialization, dead-def sweeps, spill-code
         #: motion, coalescing, the final physical rewrite) bumps it, so
@@ -83,11 +82,6 @@ class PDGFunction:
     def reserve_vregs(self, count: int) -> None:
         """Make sure the next ``new_vreg`` index is at least ``count``."""
         self._next_vreg = max(self._next_vreg, count)
-
-    def new_spill_index(self) -> int:
-        index = self._next_spill
-        self._next_spill += 1
-        return index
 
     # -- structure queries ----------------------------------------------------
 

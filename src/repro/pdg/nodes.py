@@ -188,9 +188,6 @@ class Region:
 
     # -- structure edits --------------------------------------------------------
 
-    def insert_before(self, index: int, instr: Instr) -> None:
-        self.items.insert(index, instr)
-
     def index_of(self, item: Item) -> int:
         for position, existing in enumerate(self.items):
             if existing is item:

@@ -21,7 +21,6 @@ the removed stores plus shorter live ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..ir.iloc import Instr, Op, Reg
@@ -81,17 +80,6 @@ def constant_registers(instrs: Iterable[Instr]) -> Dict[Reg, Number]:
         for reg, val in value.items()
         if val is not _TOP and val is not None
     }
-
-
-@dataclass
-class RematReport:
-    """What rematerialization did during one allocation."""
-
-    rematerialized: List[Tuple[Reg, Number]] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.rematerialized)
 
 
 # ----------------------------------------------------------------------------

@@ -187,9 +187,6 @@ class FaultPlan:
             return True
         return False
 
-    def fired_points(self) -> List[str]:
-        return sorted({point for point, _ in self.fired})
-
 
 #: The active plan; ``None`` keeps every probe dormant.  Checked by the
 #: allocators through :func:`active`, so the disabled-path overhead is one

@@ -157,6 +157,3 @@ class BlockDag:
             for succ, latency in node.succs.items():
                 best = max(best, latency + self.nodes[succ].priority)
             node.priority = best
-
-    def roots(self) -> List[int]:
-        return [node.index for node in self.nodes if not node.preds]

@@ -36,10 +36,6 @@ class ScheduleReport:
     length_before: int = 0
     length_after: int = 0
 
-    @property
-    def improvement(self) -> int:
-        return self.length_before - self.length_after
-
 
 def schedule_block(
     code: Sequence[Instr], model: LatencyModel, function: str = "?"

@@ -7,10 +7,9 @@ instead — and, with the router, N of them behind one address:
 
 * :mod:`repro.service.cache` — a content-addressed artifact store.
   Results are keyed on ``sha256(source ‖ allocator ‖ k ‖ schedule ‖
-  pipeline-config ‖ code-fingerprint)``, held across per-shard-locked
-  LRU shards under a byte budget, and optionally persisted to disk, so
-  a repeat request skips parse -> sema -> pdg-build -> allocate
-  entirely.  Misses are classified by the key component that changed
+  pipeline-config ‖ code-fingerprint)``, held in one LRU under a byte
+  budget, and optionally persisted to disk, so a repeat request skips
+  parse -> sema -> pdg-build -> allocate entirely.  Misses are classified by the key component that changed
   (source vs config vs code churn) for the ``stats`` op.
 * :mod:`repro.service.server` — a JSON-over-TCP server (stdlib only)
   whose workers reuse the resilient
@@ -27,10 +26,12 @@ instead — and, with the router, N of them behind one address:
 * :mod:`repro.service.router` — the consistent-hash front end
   (``python -m repro router``): sha256 ring with virtual nodes over N
   backend daemons, background health probes, transport-failover to the
-  ring successor, and deployment-wide ``stats`` aggregation.
-* :mod:`repro.service.client` — the client library behind
-  ``python -m repro request``, with typed protocol errors and
-  opt-in retry (exponential backoff + jitter) of transient failures.
+  ring successor, write-through replication with read-repair, and
+  deployment-wide ``stats`` aggregation.
+* :mod:`repro.service.client` — the wire protocol: the client library
+  behind ``python -m repro request``, with typed protocol errors and
+  opt-in retry (exponential backoff + jitter) of transient failures,
+  and the JSON-lines daemon loop that ``serve`` and ``router`` share.
 * :mod:`repro.service.loadgen` — a closed-loop load generator reporting
   latency percentiles, throughput, and cache hit rate; a ``--chaos``
   mode that injects worker crashes, hangs, and malformed requests

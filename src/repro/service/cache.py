@@ -1,4 +1,4 @@
-"""Content-addressed, shard-locked artifact cache for the compile service.
+"""Content-addressed artifact cache for the compile service.
 
 A cache *key* is the sha256 of everything that determines an allocation
 result: the source text, the allocator name, the register count, the
@@ -17,31 +17,22 @@ code.  Any edit to a ``.py`` file under ``src/repro`` changes every
 key, which simply makes the persisted tier cold — the same degradation
 semantics as a ``FORMAT_VERSION`` bump.
 
-Sharding
---------
+The memory tier
+---------------
 
-The store is split into :data:`~repro.service.defaults.CACHE_SHARDS`
-independent shards routed by key prefix (the leading hex digits of the
-sha256 key), each with its **own lock, LRU order, byte budget, and
-counters**.  A single lock used to serialize the whole warm path:
-every parent-side cache hit — the thing the service exists to make
-fast — queued behind every other hit *and* behind disk-tier writes
-happening under the same lock.  With per-shard locks, hits on
-different shards never contend, and a cold ``put`` writing its disk
-file blocks only the 1/N of the keyspace that hashes beside it.  The
-byte budget divides evenly across shards, so eviction pressure is
-local: each shard runs its own LRU over ``max_bytes / shards``.
-
-Each shard is a thread-safe LRU over its byte budget: entries are
-charged ``len(blob) + len(canonical meta json)``, the least recently
-*used* entry is evicted first, and hit/miss/eviction counters are
-maintained per shard and aggregated for the server's ``stats`` endpoint
-and the load generator's report.  With ``persist_dir`` set, every entry
-is also written to disk as one JSON file per key; a restarted server
-finds them there on a memory miss (eviction never deletes the disk copy
-— memory is the hot tier, disk the warm one).  Persisted payloads from
-an older wire format are ignored: a version bump simply makes the disk
-tier cold.
+One thread-safe LRU over the whole byte budget, under one lock: entries
+are charged ``len(blob) + len(canonical meta json)``, the least
+recently *used* entry is evicted first, and hit/miss/eviction counters
+feed the server's ``stats`` endpoint and the load generator's report.
+With ``persist_dir`` set, every entry is also written to disk as one
+JSON file per key; a restarted server finds them there on a memory miss
+(eviction never deletes the disk copy — memory is the hot tier, disk
+the warm one).  The lock is never held across file I/O: a ``put``
+writes its file before taking it (the write is atomic through
+``os.replace``), and a memory miss reads the file before taking it
+again to promote the entry, so a warm hit never waits on the disk.
+Persisted payloads from an older wire format are ignored: a version
+bump simply makes the disk tier cold.
 
 Miss observability
 ------------------
@@ -106,9 +97,6 @@ from . import defaults
 #: Default in-memory budget: generous for this repository's programs
 #: (a serialized bench image is a few tens of KB).
 DEFAULT_MAX_BYTES = defaults.CACHE_BYTES
-
-#: Default shard count (single-sourced in repro.service.defaults).
-DEFAULT_SHARDS = defaults.CACHE_SHARDS
 
 #: Memoized :func:`source_fingerprint` for the installed package tree.
 _SOURCE_FINGERPRINT: Optional[str] = None
@@ -273,46 +261,78 @@ class CacheEntry:
         )
 
 
-class _Shard:
-    """One lock domain: an LRU memory tier over a private byte budget
-    plus the shard's slice of the shared disk directory.  Keys never
-    move between shards (routing is a pure function of the key), so no
-    cross-shard coordination exists anywhere."""
+class ArtifactCache:
+    """Thread-safe content-addressed store: one LRU memory tier over
+    ``max_bytes`` under one lock, an optional disk tier, and
+    per-component miss classification."""
 
-    def __init__(self, max_bytes: int, persist_dir: Optional[str]):
+    def __init__(
+        self,
+        max_bytes: int = DEFAULT_MAX_BYTES,
+        persist_dir: Optional[str] = None,
+    ):
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
         self.persist_dir = persist_dir
+        if persist_dir:
+            os.makedirs(persist_dir, exist_ok=True)
+        #: Guards the LRU, the counters and the miss-classification
+        #: history; never held across disk I/O.
+        self._lock = threading.Lock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.RLock()
+        self.total_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.disk_hits = 0
         self.corrupt = 0
+        self._code_by_ident: Dict[str, str] = {}
+        self._config_by_ident: Dict[str, str] = {}
+        self._miss_kinds = {
+            "source": 0,
+            "config": 0,
+            "code": 0,
+            "corrupt": 0,
+            "unclassified": 0,
+        }
+        self._scrub = self.scrub() if persist_dir else None
 
     # -- lookup ---------------------------------------------------------------
 
-    def get(self, key: str) -> Tuple[Optional[CacheEntry], Optional[str]]:
-        """``(entry, miss_cause)``: the entry and None on a hit, or None
-        and why the disk tier could not help (``"absent"`` / ``"stale"``
-        / ``"corrupt"``) on a miss."""
+    def get(
+        self, key: str, components: Optional[Dict[str, str]] = None
+    ) -> Optional[CacheEntry]:
+        """The entry for ``key``, or None (a miss).
+
+        A memory hit refreshes the LRU recency.  On a memory miss the
+        disk tier (when configured) is consulted; a disk hit is promoted
+        back into memory — possibly evicting colder entries — and
+        counted as both a hit and a ``disk_hit``.  ``components`` (from
+        :func:`key_components`) lets a miss be classified by the input
+        that changed; a disk file that failed its checksum classifies as
+        ``corrupt`` regardless.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return entry, None
-            entry, cause = self._load_persisted(key)
+                return entry
+        entry, cause = self._promote_from_disk(key)
+        with self._lock:
             if entry is not None:
-                self._insert(entry)
                 self.hits += 1
                 self.disk_hits += 1
-                return entry, None
-            if cause == "corrupt":
-                self.corrupt += 1
+                return entry
             self.misses += 1
-            return None, cause
+            kind = (
+                "corrupt"
+                if cause == "corrupt"
+                else self._classify_miss(components)
+            )
+            self._miss_kinds[kind] += 1
+        return None
 
     def peek(self, key: str) -> Optional[CacheEntry]:
         """Memory-tier lookup with no side effects: no counter bump, no
@@ -328,47 +348,65 @@ class _Shard:
         corrupt disk file still counts ``corrupt`` (integrity is worth
         counting no matter who noticed), and a disk hit still promotes
         into memory (a replica asked for it; it is hot somewhere)."""
+        entry = self.peek(key)
+        if entry is None:
+            entry, _ = self._promote_from_disk(key)
+        return entry
+
+    def _promote_from_disk(
+        self, key: str
+    ) -> Tuple[Optional[CacheEntry], Optional[str]]:
+        """Read ``key``'s disk file outside the lock, then promote a
+        good entry into memory or count a corrupt file."""
+        entry, cause = self._load_persisted(key)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry
-            entry, cause = self._load_persisted(key)
             if entry is not None:
                 self._insert(entry)
-                return entry
-            if cause == "corrupt":
+            elif cause == "corrupt":
                 self.corrupt += 1
-            return None
+        return entry, cause
 
     # -- insertion ------------------------------------------------------------
 
-    def put(self, key: str, blob: bytes, meta: Dict[str, Any]) -> CacheEntry:
+    def put(
+        self,
+        key: str,
+        blob: bytes,
+        meta: Dict[str, Any],
+        components: Optional[Dict[str, str]] = None,
+    ) -> CacheEntry:
+        """Store an artifact; returns the (frozen) entry.
+
+        Re-putting an existing key replaces the entry (last write wins —
+        identical by construction, since the key covers every input).
+        An entry larger than ``max_bytes`` is persisted to disk but not
+        held in memory.  ``components`` feed the miss-classification
+        history so later misses can be attributed.
+        """
         entry = CacheEntry(key, bytes(blob), dict(meta))
+        self._persist(entry)
         with self._lock:
-            self._persist(entry)
+            if components is not None:
+                self._record_components(components)
             if entry.size > self.max_bytes:
                 old = self._entries.pop(key, None)
                 if old is not None:
-                    self._bytes -= old.size
-                return entry
-            self._insert(entry)
+                    self.total_bytes -= old.size
+            else:
+                self._insert(entry)
         return entry
 
     def _insert(self, entry: CacheEntry) -> None:
+        """Add ``entry`` as the most recent, evicting the least recent
+        until the tier fits its budget.  Call under ``_lock``."""
         old = self._entries.pop(entry.key, None)
         if old is not None:
-            self._bytes -= old.size
+            self.total_bytes -= old.size
         self._entries[entry.key] = entry
-        self._bytes += entry.size
-        while self._bytes > self.max_bytes and len(self._entries) > 1:
+        self.total_bytes += entry.size
+        while self.total_bytes > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.size
-            self.evictions += 1
-        # A single entry over budget was rejected by put(); anything that
-        # survives to this point fits.
-        if self._bytes > self.max_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.size
+            self.total_bytes -= evicted.size
             self.evictions += 1
 
     # -- the disk tier --------------------------------------------------------
@@ -395,7 +433,9 @@ class _Shard:
     def _load_persisted(
         self, key: str
     ) -> Tuple[Optional[CacheEntry], Optional[str]]:
-        """``(entry, miss_cause)``; causes mirror :func:`verify_document`."""
+        """``(entry, miss_cause)``: the entry and None when the disk tier
+        holds a good copy, or None and why not (``"absent"`` /
+        ``"stale"`` / ``"corrupt"``, mirroring :func:`verify_document`)."""
         if not self.persist_dir:
             return None, "absent"
         path = self._path(key)
@@ -414,155 +454,6 @@ class _Shard:
         blob = document["image"].encode("utf-8")
         return CacheEntry(key, blob, document["meta"]), None
 
-    # -- accounting -----------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "evictions": self.evictions,
-                "corrupt": self.corrupt,
-            }
-
-    def keys(self) -> List[str]:
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        """Drop every memory-tier entry (disk files stay).  Counters are
-        kept: a wipe is an event in a cache's life, not a new cache."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-
-class ArtifactCache:
-    """Thread-safe content-addressed store: ``shards`` independent LRU
-    shards (per-shard locks and byte budgets) over an optional shared
-    disk tier, with per-component miss classification.
-
-    ``max_bytes`` is the *total* memory budget, divided evenly across
-    shards; ``shards=1`` recovers the historical single-lock behavior
-    (one global LRU order), which some accounting tests rely on.
-    """
-
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        persist_dir: Optional[str] = None,
-        shards: int = DEFAULT_SHARDS,
-    ):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.max_bytes = max_bytes
-        self.persist_dir = persist_dir
-        self.shards = shards
-        if persist_dir:
-            os.makedirs(persist_dir, exist_ok=True)
-        per_shard = max(1, max_bytes // shards)
-        self._shards = [_Shard(per_shard, persist_dir) for _ in range(shards)]
-        # Miss-classification history: tiny dict lookups under a
-        # dedicated lock — never held across disk IO or shard work.
-        self._ident_lock = threading.Lock()
-        self._code_by_ident: Dict[str, str] = {}
-        self._config_by_ident: Dict[str, str] = {}
-        self._miss_kinds = {
-            "source": 0,
-            "config": 0,
-            "code": 0,
-            "corrupt": 0,
-            "unclassified": 0,
-        }
-        self._scrub = self.scrub() if persist_dir else None
-
-    # -- shard routing --------------------------------------------------------
-
-    def shard_of(self, key: str) -> int:
-        """The shard index for ``key``: its leading hex digits modulo
-        the shard count.  Non-hex keys (tests, ad-hoc callers) fall
-        back to hashing the whole key — still a pure function."""
-        try:
-            value = int(key[:8], 16)
-        except ValueError:
-            value = int.from_bytes(
-                hashlib.sha256(key.encode("utf-8")).digest()[:4], "big"
-            )
-        return value % self.shards
-
-    def _shard(self, key: str) -> _Shard:
-        return self._shards[self.shard_of(key)]
-
-    # -- lookup ---------------------------------------------------------------
-
-    def get(
-        self, key: str, components: Optional[Dict[str, str]] = None
-    ) -> Optional[CacheEntry]:
-        """The entry for ``key``, or None (a miss).
-
-        A memory hit refreshes the shard's LRU recency.  On a memory
-        miss the disk tier (when configured) is consulted; a disk hit
-        is promoted back into memory — possibly evicting colder entries
-        of the same shard — and counted as both a hit and a
-        ``disk_hit``.  ``components`` (from :func:`key_components`)
-        lets a miss be classified by the input that changed; a disk file
-        that failed its checksum classifies as ``corrupt`` regardless.
-        """
-        entry, cause = self._shard(key).get(key)
-        if entry is None:
-            kind = (
-                "corrupt"
-                if cause == "corrupt"
-                else self._classify_miss(components)
-            )
-            with self._ident_lock:
-                self._miss_kinds[kind] += 1
-        return entry
-
-    def peek(self, key: str) -> Optional[CacheEntry]:
-        """Side-effect-free memory-tier lookup (no counters, no LRU
-        refresh, no disk promotion) — see :meth:`_Shard.peek`."""
-        return self._shard(key).peek(key)
-
-    def fetch(self, key: str) -> Optional[CacheEntry]:
-        """Both tiers, without hit/miss accounting — the replication
-        read path (see :meth:`_Shard.fetch`)."""
-        return self._shard(key).fetch(key)
-
-    # -- insertion ------------------------------------------------------------
-
-    def put(
-        self,
-        key: str,
-        blob: bytes,
-        meta: Dict[str, Any],
-        components: Optional[Dict[str, str]] = None,
-    ) -> CacheEntry:
-        """Store an artifact; returns the (frozen) entry.
-
-        Re-putting an existing key replaces the entry (last write wins —
-        identical by construction, since the key covers every input).
-        An entry larger than its shard's budget is persisted to disk but
-        not held in memory.  ``components`` feed the miss-classification
-        history so later misses can be attributed.
-        """
-        if components is not None:
-            self._record_components(components)
-        return self._shard(key).put(key, blob, meta)
-
     # -- miss classification --------------------------------------------------
 
     @staticmethod
@@ -574,25 +465,24 @@ class ArtifactCache:
         )
 
     def _record_components(self, components: Dict[str, str]) -> None:
+        """Remember the request's code and config digests.  Call under
+        ``_lock``."""
         ident_sans_code, ident_sans_config = self._idents(components)
-        with self._ident_lock:
-            self._code_by_ident[ident_sans_code] = components["code"]
-            self._config_by_ident[ident_sans_config] = components["config"]
+        self._code_by_ident[ident_sans_code] = components["code"]
+        self._config_by_ident[ident_sans_config] = components["config"]
 
     def _classify_miss(self, components: Optional[Dict[str, str]]) -> str:
+        """Which key component changed since this request was last
+        cached.  Call under ``_lock``."""
         if components is None:
             return "unclassified"
         ident_sans_code, ident_sans_config = self._idents(components)
-        with self._ident_lock:
-            known_code = self._code_by_ident.get(ident_sans_code)
-            if known_code is not None and known_code != components["code"]:
-                return "code"
-            known_config = self._config_by_ident.get(ident_sans_config)
-            if (
-                known_config is not None
-                and known_config != components["config"]
-            ):
-                return "config"
+        known_code = self._code_by_ident.get(ident_sans_code)
+        if known_code is not None and known_code != components["code"]:
+            return "code"
+        known_config = self._config_by_ident.get(ident_sans_config)
+        if known_config is not None and known_config != components["config"]:
+            return "config"
         return "source"
 
     # -- the startup scrub ----------------------------------------------------
@@ -645,60 +535,44 @@ class ArtifactCache:
 
     # -- accounting -----------------------------------------------------------
 
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.evictions for shard in self._shards)
-
-    @property
-    def disk_hits(self) -> int:
-        return sum(shard.disk_hits for shard in self._shards)
-
     def miss_kinds(self) -> Dict[str, int]:
-        with self._ident_lock:
+        with self._lock:
             return dict(self._miss_kinds)
 
     def keys(self) -> List[str]:
-        """Every key currently held in memory, across all shards."""
-        return [key for shard in self._shards for key in shard.keys()]
+        """Every key currently held in memory."""
+        with self._lock:
+            return list(self._entries)
 
     def clear(self) -> None:
         """Drop the whole memory tier (persisted files stay on disk) —
-        an operator reset, and the test harness's simulated cold cache."""
-        for shard in self._shards:
-            shard.clear()
+        an operator reset, and the test harness's simulated cold cache.
+        Counters are kept: a wipe is an event in a cache's life, not a
+        new cache."""
+        with self._lock:
+            self._entries.clear()
+            self.total_bytes = 0
 
     def stats(self) -> Dict[str, Any]:
-        snapshots = [shard.snapshot() for shard in self._shards]
-        totals = {
-            field: sum(snap[field] for snap in snapshots)
-            for field in ("entries", "bytes", "hits", "misses", "disk_hits",
-                          "evictions", "corrupt")
-        }
-        hits, misses = totals["hits"], totals["misses"]
-        stats = {
-            **totals,
-            "max_bytes": self.max_bytes,
-            "shard_count": self.shards,
-            "shards": snapshots,
-            "miss_kinds": self.miss_kinds(),
-            "code_fingerprint": source_fingerprint(),
-            "hit_rate": hits / (hits + misses) if (hits + misses) else 0.0,
-        }
+        with self._lock:
+            hits, misses = self.hits, self.misses
+            stats = {
+                "entries": len(self._entries),
+                "bytes": self.total_bytes,
+                "hits": hits,
+                "misses": misses,
+                "disk_hits": self.disk_hits,
+                "evictions": self.evictions,
+                "corrupt": self.corrupt,
+                "max_bytes": self.max_bytes,
+                "miss_kinds": dict(self._miss_kinds),
+            }
+        stats["code_fingerprint"] = source_fingerprint()
+        stats["hit_rate"] = hits / (hits + misses) if (hits + misses) else 0.0
         if self._scrub is not None:
             stats["scrub"] = dict(self._scrub)
         return stats
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(shard.total_bytes for shard in self._shards)
+        with self._lock:
+            return len(self._entries)

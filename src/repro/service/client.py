@@ -1,4 +1,5 @@
-"""Client library for the compile service, and ``python -m repro request``.
+"""The JSON-lines wire protocol: the client library, ``python -m repro
+request``, and the daemon loop that ``serve`` and ``router`` share.
 
 :class:`ServiceClient` holds one TCP connection and speaks the JSON-lines
 protocol of :mod:`repro.service.server`.  Failed requests raise
@@ -32,6 +33,15 @@ retried: the server has evidence the request itself is pathological.
 ``replica-miss`` is not retried either — it is not a failure at all but
 the router replication protocol's "this backend is cold" answer to a
 ``warm_only`` probe, and only the router should ever see it.
+
+The daemon side
+---------------
+
+:class:`JsonLinesServer` is the listener both daemons run: one handler
+thread per connection, one response line per request line, each
+request object answered by the daemon's ``submit``/``handle``
+callable.  :func:`run_daemon` is their shared main loop — serve until
+SIGTERM/SIGINT, run the daemon's drain, close the listener.
 """
 
 from __future__ import annotations
@@ -39,10 +49,13 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import signal
 import socket
+import socketserver
 import sys
+import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..resilience.errors import StageError
 from . import defaults
@@ -240,26 +253,6 @@ class ServiceClient:
     def stats(self) -> Dict[str, Any]:
         return self.checked({"op": "stats"})
 
-    def cache_get(self, key: str) -> Dict[str, Any]:
-        """Fetch raw artifact bytes by cache key (``replica-miss`` when
-        the backend does not hold them) — the replication read op."""
-        return self.checked({"op": "cache-get", "key": key})
-
-    def cache_put(
-        self, key: str, blob: str, meta: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Install raw artifact bytes under ``key`` without compiling —
-        the replication write op.  The backend refuses blobs that do not
-        match ``meta["image_sha256"]``."""
-        return self.checked(
-            {"op": "cache-put", "key": key, "blob": blob, "meta": meta}
-        )
-
-    def cache_keys(self) -> Dict[str, Any]:
-        """Enumerate the backend's memory-tier artifact keys (with
-        routing affinity and byte size) — what a drain streams."""
-        return self.checked({"op": "cache-keys"})
-
     def compile(
         self,
         source: str,
@@ -317,6 +310,85 @@ def connect_with_retry(
             delay = backoff * (2 ** attempt)
             time.sleep(delay * (0.5 + random.random()))
             attempt += 1
+
+
+# ----------------------------------------------------------------------------
+# The daemon side: one listener and one main loop for serve and router
+# ----------------------------------------------------------------------------
+
+
+class _LineHandler(socketserver.StreamRequestHandler):
+    def handle(self) -> None:  # one connection, many JSON lines
+        answer = self.server.answer  # type: ignore[attr-defined]
+        for line in self.rfile:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                request = json.loads(line.decode("utf-8"))
+                if not isinstance(request, dict):
+                    raise ValueError(
+                        f"expected an object, got {type(request).__name__}"
+                    )
+            except ValueError as err:
+                response = {
+                    "ok": False,
+                    "error": _error_payload("request", f"bad json: {err}"),
+                }
+            else:
+                response = answer(request)
+            try:
+                self.wfile.write(
+                    json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
+                )
+                self.wfile.flush()
+            except (BrokenPipeError, ConnectionResetError):
+                return
+
+
+class JsonLinesServer(socketserver.ThreadingTCPServer):
+    """A JSON-lines daemon listener.  ``answer`` maps one request
+    object to its response object and never raises; ``drain`` runs
+    before the listener stops.  One handler thread per connection, so a
+    handler blocked in ``answer`` never blocks the accept loop."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        answer: Callable[[Dict[str, Any]], Dict[str, Any]],
+        drain: Callable[..., None],
+    ):
+        super().__init__(address, _LineHandler)
+        self.answer = answer
+        self._drain = drain
+
+    def drain_and_shutdown(self, *args: Any, **kwargs: Any) -> None:
+        """Run the drain (arguments pass through to it), then stop
+        :meth:`serve_forever`."""
+        self._drain(*args, **kwargs)
+        self.shutdown()
+
+
+def run_daemon(server: JsonLinesServer, banner: str) -> int:
+    """Print ``banner`` and serve until SIGTERM/SIGINT, then drain and
+    close the listener — the main loop of ``serve`` and ``router``."""
+    print(banner, flush=True)
+
+    def _drain(signum, frame):  # pragma: no cover - signal path
+        print("draining...", flush=True)
+        threading.Thread(target=server.drain_and_shutdown, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _drain)
+    signal.signal(signal.SIGINT, _drain)
+    try:
+        server.serve_forever(poll_interval=0.2)
+    finally:
+        server.server_close()
+    print("drained; bye", flush=True)
+    return 0
 
 
 def build_request_parser() -> argparse.ArgumentParser:

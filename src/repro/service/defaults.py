@@ -48,8 +48,6 @@ def usable_cpus() -> int:
 
 #: In-memory artifact budget (bytes): 64 MiB.
 CACHE_BYTES = 64 * 1024 * 1024
-#: Lock shards inside :class:`~repro.service.cache.ArtifactCache`.
-CACHE_SHARDS = 8
 
 # -- supervision (the process worker tier) -----------------------------------
 
@@ -109,10 +107,6 @@ ROUTER_PROBE_FAILURES = 2
 #: many ring successors (the compiling node included), so failover
 #: lands on a warm replica instead of recompiling.
 ROUTER_REPLICATION = 2
-#: Byte budget for the hinted-handoff queue (replica writes waiting for
-#: a down backend to return).  Oldest hints are dropped — with a
-#: counter — when the budget is exceeded.
-ROUTER_HANDOFF_BYTES = 8 * 1024 * 1024
 
 # -- the rolling-restart drill -----------------------------------------------
 

@@ -90,10 +90,10 @@ treats the first ``R`` distinct ring successors of a key as its
   router then copies the artifact from another replica-set member into
   the cold backend and re-sends the compile — a warm hit — falling back
   to a real compile only when no replica has the bytes.
-* **Hinted handoff** — a replica write aimed at a down backend is
-  queued (bounded by :data:`~repro.service.defaults.ROUTER_HANDOFF_BYTES`,
-  oldest dropped first, every drop counted) and flushed by the health
-  prober the moment the backend answers a ping again.
+
+A replica write aimed at a down backend is skipped, not queued:
+read-repair restores that copy the first time the returned backend is
+asked for the key.
 
 Membership
 ----------
@@ -119,17 +119,21 @@ import argparse
 import bisect
 import hashlib
 import json
-import signal
-import socketserver
+import math
 import sys
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import defaults
-from .client import ServiceClient, ServiceError, _error_payload
+from .client import (
+    JsonLinesServer,
+    ServiceClient,
+    ServiceError,
+    _error_payload,
+    run_daemon,
+)
 
 #: Forwarding failures that mean "the backend did not answer" — only
 #: these trigger failover; everything else is a real answer.
@@ -299,91 +303,8 @@ class Backend:
             }
 
 
-class HandoffQueue:
-    """Replica writes waiting out a down backend: hinted handoff.
-
-    Bounded by a byte budget over the blobs held.  One hint per
-    ``(backend, key)`` slot — a newer write for the same key replaces
-    the older hint — and when the budget overflows the *oldest* hints
-    are dropped first, each drop counted (a dropped hint is not data
-    loss: the artifact still lives on the other replicas and read-repair
-    restores it on the next miss; the counter exists so operators can
-    see the budget is too small).
-    """
-
-    def __init__(self, budget_bytes: int = defaults.ROUTER_HANDOFF_BYTES):
-        self.budget = int(budget_bytes)
-        self._lock = threading.Lock()
-        #: ``(backend name, key) -> (blob, meta)``, oldest first.
-        self._hints: "OrderedDict[Tuple[str, str], Tuple[str, Dict[str, Any]]]" = (
-            OrderedDict()
-        )
-        self._bytes = 0
-        self._queued = 0
-        self._flushed = 0
-        self._dropped = 0
-
-    def offer(self, backend: str, key: str, blob: str, meta: Dict[str, Any]) -> bool:
-        """Queue one replica write for later delivery.  Returns False
-        when the hint cannot be held (larger than the whole budget)."""
-        size = len(blob)
-        with self._lock:
-            if size > self.budget:
-                self._dropped += 1
-                return False
-            slot = (backend, key)
-            old = self._hints.pop(slot, None)
-            if old is not None:
-                self._bytes -= len(old[0])
-            self._hints[slot] = (blob, meta)
-            self._bytes += size
-            self._queued += 1
-            while self._bytes > self.budget and self._hints:
-                _, (old_blob, _) = self._hints.popitem(last=False)
-                self._bytes -= len(old_blob)
-                self._dropped += 1
-            return True
-
-    def take(self, backend: str) -> List[Tuple[str, str, Dict[str, Any]]]:
-        """Pop every hint held for ``backend`` (the flush path)."""
-        with self._lock:
-            slots = [slot for slot in self._hints if slot[0] == backend]
-            taken = []
-            for slot in slots:
-                blob, meta = self._hints.pop(slot)
-                self._bytes -= len(blob)
-                taken.append((slot[1], blob, meta))
-            return taken
-
-    def discard(self, backend: str) -> int:
-        """Drop every hint for a backend that left the ring for good."""
-        dropped = 0
-        with self._lock:
-            for slot in [slot for slot in self._hints if slot[0] == backend]:
-                blob, _ = self._hints.pop(slot)
-                self._bytes -= len(blob)
-                self._dropped += 1
-                dropped += 1
-        return dropped
-
-    def note_flushed(self, count: int = 1) -> None:
-        with self._lock:
-            self._flushed += count
-
-    def note_dropped(self, count: int = 1) -> None:
-        with self._lock:
-            self._dropped += count
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "queued": self._queued,
-                "flushed": self._flushed,
-                "dropped": self._dropped,
-                "pending": len(self._hints),
-                "pending_bytes": self._bytes,
-                "budget_bytes": self.budget,
-            }
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def _parse_backend(spec: str) -> Tuple[str, int]:
@@ -411,10 +332,22 @@ class RouterService:
         probe_failures: int = defaults.ROUTER_PROBE_FAILURES,
         timeout: float = defaults.CLIENT_TIMEOUT_S,
         replication: int = defaults.ROUTER_REPLICATION,
-        handoff_bytes: int = defaults.ROUTER_HANDOFF_BYTES,
     ):
         if not backends:
             raise ValueError("router needs at least one backend")
+        for name, value in (
+            ("probe_interval_s", probe_interval_s),
+            ("timeout", timeout),
+        ):
+            if not _positive_finite(value):
+                # A zero wait makes the prober spin; NaN never elapses.
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name, value in (
+            ("probe_failures", probe_failures),
+            ("replication", replication),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.backends = {
             f"{host}:{port}": Backend(host, port) for host, port in backends
         }
@@ -425,8 +358,7 @@ class RouterService:
         self.probe_interval_s = probe_interval_s
         self.probe_failures = probe_failures
         self.timeout = timeout
-        self.replication = max(1, int(replication))
-        self.handoff = HandoffQueue(handoff_bytes)
+        self.replication = replication
         #: Guards ring swaps and membership mutation (never held across
         #: network I/O); the ring itself is immutable, so request paths
         #: just read ``self.ring`` once and work on that snapshot.
@@ -469,9 +401,7 @@ class RouterService:
 
     def probe(self, backend: Backend) -> bool:
         """One liveness ping, on a short-lived connection so a wedged
-        backend cannot pin the prober's socket.  A backend that answers
-        gets its pending hinted-handoff writes flushed — the 'flush when
-        health probes see the backend return' half of replication."""
+        backend cannot pin the prober's socket."""
         try:
             with ServiceClient(
                 backend.host, backend.port, timeout=self.probe_interval_s
@@ -481,39 +411,9 @@ class RouterService:
             alive = False
         if alive:
             backend.note_success()
-            self._flush_handoff(backend)
         else:
             backend.note_failure(self.probe_failures)
         return alive
-
-    def _flush_handoff(self, backend: Backend) -> None:
-        """Deliver the hints queued for a backend that just answered a
-        probe.  A delivery failure mid-flush requeues the remainder —
-        the next successful probe tries again."""
-        hints = self.handoff.take(backend.name)
-        if not hints:
-            return
-        remaining = list(hints)
-        try:
-            with ServiceClient(
-                backend.host, backend.port, timeout=self.timeout
-            ) as client:
-                while remaining:
-                    key, blob, meta = remaining[0]
-                    response = client.request(
-                        {"op": "cache-put", "key": key, "blob": blob, "meta": meta}
-                    )
-                    remaining.pop(0)
-                    if response.get("ok"):
-                        self.handoff.note_flushed()
-                        self._count("replica_writes")
-                    else:
-                        # The backend refused the bytes (e.g. checksum
-                        # mismatch): retrying would loop forever.
-                        self.handoff.note_dropped()
-        except (ServiceError, OSError):
-            for key, blob, meta in remaining:
-                self.handoff.offer(backend.name, key, blob, meta)
 
     # -- forwarding -----------------------------------------------------------
 
@@ -590,7 +490,7 @@ class RouterService:
             }
         replica_names = ring.replicas(affinity, self.replication)
         # The replica set is ownership, not health: a down replica's
-        # write becomes a hint, not a different replica.
+        # write is skipped, not sent to a different replica.
         replicas = [
             self.backends[name]
             for name in replica_names
@@ -744,7 +644,7 @@ class RouterService:
         self, source: Backend, key: Any, replicas: List[Backend]
     ) -> None:
         """Write a freshly compiled artifact through from ``source`` to
-        the rest of the replica set (down members get handoff hints)."""
+        the rest of the replica set (down members are skipped)."""
         if not isinstance(key, str) or not key:
             return
         targets = [b for b in replicas if b.name != source.name]
@@ -768,10 +668,9 @@ class RouterService:
     def _replica_put(
         self, target: Backend, key: str, blob: str, meta: Dict[str, Any]
     ) -> bool:
-        """Install raw artifact bytes on one replica, queueing a
-        hinted handoff instead when the replica is down."""
+        """Install raw artifact bytes on one replica.  A down replica is
+        skipped: read-repair restores the copy on its next miss."""
         if not target.healthy:
-            self.handoff.offer(target.name, key, blob, meta)
             return False
         try:
             put = self._client(target).request(
@@ -781,11 +680,9 @@ class RouterService:
             if err.kind in _FAILOVER_KINDS:
                 self._drop_client(target)
                 target.note_failure(self.probe_failures)
-                self.handoff.offer(target.name, key, blob, meta)
             return False
         except OSError:
             target.note_failure(self.probe_failures)
-            self.handoff.offer(target.name, key, blob, meta)
             return False
         if put.get("ok"):
             self._count("replica_writes")
@@ -860,8 +757,8 @@ class RouterService:
             self.backends[name] = backend
             self._rebuild_ring()
             generation = self.generation
-        # Probe outside the lock: routable (and handoff-flushed) now,
-        # not at the next prober tick.
+        # Probe outside the lock: routable now, not at the next
+        # prober tick.
         self.probe(backend)
         return {
             "ok": True,
@@ -889,13 +786,11 @@ class RouterService:
             del self.backends[name]
             self._rebuild_ring()
             generation = self.generation
-        dropped = self.handoff.discard(name)
         return {
             "ok": True,
             "op": "backend-remove",
             "backend": name,
             "ring_generation": generation,
-            "hints_discarded": dropped,
         }
 
     def backend_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -926,7 +821,6 @@ class RouterService:
             self.backends.pop(name, None)
             self.generation += 1
             generation = self.generation
-        dropped = self.handoff.discard(name)
         return {
             "ok": True,
             "op": "backend-drain",
@@ -935,7 +829,6 @@ class RouterService:
             "streamed": streamed,
             "skipped": skipped,
             "stream_failed": failed,
-            "hints_discarded": dropped,
         }
 
     def _stream_artifacts(
@@ -1023,7 +916,6 @@ class RouterService:
                 for kind, count in cache.get("miss_kinds", {}).items():
                     miss_kinds[kind] = miss_kinds.get(kind, 0) + count
             backends.append(snap)
-        handoff = self.handoff.snapshot()
         with self._counter_lock:
             router = {
                 "requests": self._requests,
@@ -1032,10 +924,6 @@ class RouterService:
                 "no_backend": self._no_backend,
                 "replica_writes": self._replica_writes,
                 "read_repairs": self._read_repairs,
-                "handoff_queued": handoff["queued"],
-                "handoff_flushed": handoff["flushed"],
-                "handoff_dropped": handoff["dropped"],
-                "handoff": handoff,
                 "replication": self.replication,
                 "ring_generation": generation,
                 "vnodes": ring.vnodes,
@@ -1060,46 +948,14 @@ class RouterService:
 # ----------------------------------------------------------------------------
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # one connection, many JSON lines
-        router: RouterService = self.server.router  # type: ignore[attr-defined]
-        for line in self.rfile:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = json.loads(line.decode("utf-8"))
-            except ValueError as err:
-                response = {
-                    "ok": False,
-                    "error": _error_payload("request", f"bad json: {err}"),
-                }
-            else:
-                response = router.handle(request)
-            try:
-                self.wfile.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
-                )
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                return
-
-
-class RouterServer(socketserver.ThreadingTCPServer):
-    """TCP front of a :class:`RouterService` — same threading shape as
-    :class:`~repro.service.server.CompileServer`."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class RouterServer(JsonLinesServer):
+    """TCP front of a :class:`RouterService`; draining stops the
+    prober."""
 
     def __init__(self, address: Tuple[str, int], router: RouterService):
-        super().__init__(address, _RouterHandler)
+        super().__init__(address, router.handle, router.stop)
         self.router = router
         router.start()
-
-    def drain_and_shutdown(self) -> None:
-        self.router.stop()
-        self.shutdown()
 
 
 def build_router_parser() -> argparse.ArgumentParser:
@@ -1143,18 +999,25 @@ def build_router_parser() -> argparse.ArgumentParser:
         help="ring successors that hold each artifact; 1 disables "
              f"replication (default: {defaults.ROUTER_REPLICATION})",
     )
-    parser.add_argument(
-        "--handoff-bytes", type=int, default=defaults.ROUTER_HANDOFF_BYTES,
-        metavar="BYTES",
-        help="byte budget for hinted-handoff writes queued for down "
-             f"backends (default: {defaults.ROUTER_HANDOFF_BYTES})",
-    )
     return parser
 
 
 def router_main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro router``: run the front end until SIGTERM/SIGINT."""
-    args = build_router_parser().parse_args(argv)
+    parser = build_router_parser()
+    args = parser.parse_args(argv)
+    for flag, value in (
+        ("--probe-interval", args.probe_interval),
+        ("--timeout", args.timeout),
+    ):
+        if not _positive_finite(value):
+            parser.error(f"{flag} must be finite and positive, got {value}")
+    for flag, value in (
+        ("--probe-failures", args.probe_failures),
+        ("--replication", args.replication),
+    ):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     try:
         backends = [_parse_backend(spec) for spec in args.backend]
     except ValueError as err:
@@ -1167,28 +1030,14 @@ def router_main(argv: Optional[Sequence[str]] = None) -> int:
         probe_failures=args.probe_failures,
         timeout=args.timeout,
         replication=args.replication,
-        handoff_bytes=args.handoff_bytes,
     )
     server = RouterServer((args.host, args.port), router)
     host, port = server.server_address[:2]
-    print(
+    return run_daemon(
+        server,
         f"repro router listening on {host}:{port} "
         f"({len(backends)} backends, {args.vnodes} vnodes each)",
-        flush=True,
     )
-
-    def _drain(signum, frame):  # pragma: no cover - signal path
-        print("draining...", flush=True)
-        threading.Thread(target=server.drain_and_shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        server.server_close()
-    print("drained; bye", flush=True)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

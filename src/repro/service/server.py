@@ -103,8 +103,6 @@ import heapq
 import json
 import math
 import os
-import signal
-import socketserver
 import sys
 import threading
 import time
@@ -117,7 +115,7 @@ from ..resilience.fallback import FALLBACK_CHAIN, walk_ladder
 from ..resilience.telemetry import MetricsCollector
 from . import defaults
 from .cache import ArtifactCache, cache_key, key_components
-from .client import _error_payload
+from .client import JsonLinesServer, _error_payload, run_daemon
 
 if TYPE_CHECKING:  # pragma: no cover - loaded only where compiles run
     from ..resilience.pipeline import PassPipeline
@@ -942,47 +940,15 @@ def _finite_number(value: Any) -> bool:
 # ----------------------------------------------------------------------------
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # one connection, many JSON lines
-        service: CompileService = self.server.service  # type: ignore[attr-defined]
-        for line in self.rfile:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = json.loads(line.decode("utf-8"))
-            except ValueError as err:
-                response = {
-                    "ok": False,
-                    "error": _error_payload("request", f"bad json: {err}"),
-                }
-            else:
-                response = service.submit(request)
-            try:
-                self.wfile.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
-                )
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                return
-
-
-class CompileServer(socketserver.ThreadingTCPServer):
-    """TCP front of a :class:`CompileService`.  One handler thread per
-    connection; handlers block in ``service.submit`` while the worker
-    pool does the work, so slow compiles never block the accept loop."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class CompileServer(JsonLinesServer):
+    """TCP front of a :class:`CompileService`: handlers block in
+    ``service.submit`` while the worker pool does the work, and
+    :meth:`drain_and_shutdown` takes ``service.drain``'s timeout."""
 
     def __init__(self, address: Tuple[str, int], service: CompileService):
-        super().__init__(address, _Handler)
+        super().__init__(address, service.submit, service.drain)
         self.service = service
         service.start()
-
-    def drain_and_shutdown(self, timeout: float = 30.0) -> None:
-        self.service.drain(timeout)
-        self.shutdown()
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -1033,11 +999,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
              f"{defaults.CACHE_BYTES // (1024 * 1024)} MiB)",
     )
     parser.add_argument(
-        "--cache-shards", type=int, default=None, metavar="N",
-        help="artifact-cache lock shards (default: "
-             f"{defaults.CACHE_SHARDS})",
-    )
-    parser.add_argument(
         "--persist-dir", default=None, metavar="DIR",
         help="also persist artifacts to DIR (survives restarts)",
     )
@@ -1064,12 +1025,12 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(
             f"--storm-window must be finite and positive, got {args.storm_window}"
         )
+    if args.cache_bytes is not None and args.cache_bytes < 0:
+        parser.error(f"--cache-bytes must be >= 0, got {args.cache_bytes}")
 
     cache_kwargs: Dict[str, Any] = {}
     if args.cache_bytes is not None:
         cache_kwargs["max_bytes"] = args.cache_bytes
-    if args.cache_shards is not None:
-        cache_kwargs["shards"] = args.cache_shards
     if args.persist_dir is not None:
         cache_kwargs["persist_dir"] = args.persist_dir
     from .workers import Supervision
@@ -1093,25 +1054,13 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
     )
     server = CompileServer((args.host, args.port), service)
     host, port = server.server_address[:2]
-    print(f"repro service listening on {host}:{port} "
-          f"({service._workers} {args.worker_mode} workers, "
-          f"queue {args.queue_limit}"
-          f"{', CHAOS ENABLED' if args.chaos else ''})", flush=True)
-
-    def _drain(signum, frame):  # pragma: no cover - signal path
-        print("draining...", flush=True)
-        threading.Thread(
-            target=server.drain_and_shutdown, daemon=True
-        ).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        server.server_close()
-    print("drained; bye", flush=True)
-    return 0
+    return run_daemon(
+        server,
+        f"repro service listening on {host}:{port} "
+        f"({service._workers} {args.worker_mode} workers, "
+        f"queue {args.queue_limit}"
+        f"{', CHAOS ENABLED' if args.chaos else ''})",
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,7 @@ copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..cfg.dominators import DominatorTree
 from ..cfg.graph import CFG
@@ -172,13 +172,3 @@ class SSAForm:
                     f"{self.func_name}: value {value} has no definition"
                 )
 
-    def block_of_def(self, value: Reg) -> Optional[int]:
-        """Block index containing ``value``'s definition (entry block for
-        undef values)."""
-        kind, where = self.def_site[value]
-        if kind == DEF_PHI:
-            return where
-        if kind == DEF_ENTRY:
-            return self.cfg.entry_block().index
-        block = self.cfg.block_at[where]
-        return block.index if block is not None else None

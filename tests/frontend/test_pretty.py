@@ -67,6 +67,16 @@ class TestPrograms:
     def test_bare_return_rendered(self):
         assert "return;" in roundtrip("void f() { return; }")
 
+    def test_overflowing_float_literal_roundtrips(self):
+        # 1e999 overflows to inf, and "inf" would parse as a name.
+        source = "void main() { float x; x = 1e999; print(x); }"
+        rendered = roundtrip(source)
+        assert "x = 1e999;" in rendered
+        assert roundtrip(rendered) == rendered
+        original = run_program(compile_source(source).reference_image())
+        rebuilt = run_program(compile_source(rendered).reference_image())
+        assert outputs_equal(original.output, rebuilt.output)
+
 
 class TestRoundTripBehaviour:
     @settings(max_examples=15, deadline=None)

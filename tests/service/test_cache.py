@@ -1,10 +1,12 @@
 """The content-addressed artifact cache: keys, LRU accounting, disk tier,
-shard routing, miss-kind classification, and the 8-thread hammer."""
+miss-kind classification, and the 8-thread hammer."""
 
 import hashlib
 import json
 import os
 import threading
+
+import pytest
 
 from repro.interp.serialize import FORMAT_VERSION
 from repro.resilience.pipeline import PipelineConfig
@@ -150,10 +152,8 @@ class TestLRUAccounting:
         assert stats["bytes"] == entry.size
 
     def test_eviction_is_least_recently_used(self):
-        # shards=1 pins the historical single-LRU-domain semantics this
-        # test is about; multi-shard behavior is covered separately.
         entry_size = CacheEntry("x", _blob("x", 100), {}).size
-        cache = ArtifactCache(max_bytes=3 * entry_size, shards=1)
+        cache = ArtifactCache(max_bytes=3 * entry_size)
         for tag in ("a", "b", "c"):
             cache.put(tag, _blob(tag, 100), {})
         cache.get("a")  # refresh a: b is now the coldest
@@ -173,10 +173,35 @@ class TestLRUAccounting:
         assert cache.total_bytes == CacheEntry("a", _blob("a", 200), {}).size
 
     def test_oversized_entry_not_held_in_memory(self):
-        cache = ArtifactCache(max_bytes=50, shards=1)
+        cache = ArtifactCache(max_bytes=50)
         cache.put("big", _blob("big", 500), {})
         assert len(cache) == 0
         assert cache.total_bytes == 0
+
+    def test_one_budget_over_the_whole_tier(self):
+        # The whole max_bytes is one budget: an entry bigger than an
+        # eighth of it is held.
+        entry = CacheEntry("big", _blob("big", 4_000), {})
+        cache = ArtifactCache(max_bytes=8_000)
+        assert entry.size > cache.max_bytes // 8
+        cache.put("big", entry.blob, {})
+        assert cache.peek("big") is not None
+        assert cache.get("big") is not None
+        stats = cache.stats()
+        assert stats["entries"] == 1 and stats["bytes"] == entry.size
+        assert stats["evictions"] == 0
+
+    def test_keys_lists_every_memory_entry(self):
+        cache = ArtifactCache(max_bytes=1_000_000)
+        keys = {cache_key(f"prog {i}", "rap", 5) for i in range(20)}
+        for key in keys:
+            cache.put(key, _blob(key[:8]), {})
+        assert set(cache.keys()) == keys
+        assert len(cache) == len(keys)
+
+    def test_negative_budget_refused(self):
+        with pytest.raises(ValueError, match="max_bytes must be >= 0"):
+            ArtifactCache(max_bytes=-5)
 
 
 class TestDiskTier:
@@ -196,9 +221,7 @@ class TestDiskTier:
 
     def test_memory_eviction_keeps_the_disk_copy(self, tmp_path):
         entry_size = CacheEntry("x", _blob("x", 100), {}).size
-        cache = ArtifactCache(
-            max_bytes=2 * entry_size, persist_dir=str(tmp_path), shards=1
-        )
+        cache = ArtifactCache(max_bytes=2 * entry_size, persist_dir=str(tmp_path))
         for tag in ("a", "b", "c"):
             cache.put(tag, _blob(tag, 100), {})
         assert cache.evictions >= 1
@@ -218,22 +241,6 @@ class TestDiskTier:
         with open(os.path.join(str(tmp_path), "k3.json"), "w") as handle:
             handle.write("{nope")
         assert cache.get("k3") is None
-
-    def test_disk_tier_shared_across_shard_counts(self, tmp_path):
-        # The disk directory is one flat namespace; a cache restarted
-        # with a different shard count still finds every artifact.
-        writer = ArtifactCache(
-            max_bytes=10_000, persist_dir=str(tmp_path), shards=8
-        )
-        keys = [cache_key(f"prog {i}", "rap", 5) for i in range(12)]
-        for i, key in enumerate(keys):
-            writer.put(key, _blob(f"p{i}"), {"i": i})
-        reader = ArtifactCache(
-            max_bytes=10_000, persist_dir=str(tmp_path), shards=3
-        )
-        for i, key in enumerate(keys):
-            entry = reader.get(key)
-            assert entry is not None and entry.blob == _blob(f"p{i}")
 
 
 def _hexkey(tag: str) -> str:
@@ -256,12 +263,10 @@ class TestIntegrity:
             handle.write(bytes([byte[0] ^ 0x01]))
 
     def test_bit_flip_reads_as_corrupt_miss(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         self._flip_one_byte(os.path.join(str(tmp_path), _hexkey("k1") + ".json"))
-        reloaded = ArtifactCache(
-            max_bytes=10_000, persist_dir=str(tmp_path), shards=1
-        )
+        reloaded = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         # The startup scrub already classified and deleted the file...
         assert reloaded.stats()["scrub"] == {
             "scanned": 1, "ok": 0, "stale": 0, "corrupt": 1,
@@ -271,11 +276,11 @@ class TestIntegrity:
         assert reloaded.get(_hexkey("k1")) is None
 
     def test_bit_flip_without_scrub_is_classified_corrupt(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         # Evict the memory copy so the read must go to disk.
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         self._flip_one_byte(path)
         assert cache.get(_hexkey("k1")) is None
         stats = cache.stats()
@@ -284,13 +289,13 @@ class TestIntegrity:
         assert stats["corrupt"] == 1
 
     def test_truncated_file_is_corrupt(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         # Scrub deleted the torn file; nothing is served from it.
         assert cache.stats()["scrub"]["corrupt"] == 1
         assert cache.get(_hexkey("k1")) is None
@@ -316,7 +321,7 @@ class TestIntegrity:
     def test_legacy_unchecksummed_file_reads_as_stale(self, tmp_path):
         # Pre-checksum files (no sha256 header) are stale, not corrupt:
         # they were written by an older tier, not damaged in place.
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         body = json.dumps({"version": FORMAT_VERSION, "tag": "legacy"})
         with open(
             os.path.join(str(tmp_path), _hexkey("k9") + ".json"), "w"
@@ -326,54 +331,12 @@ class TestIntegrity:
         assert cache.stats()["miss_kinds"]["corrupt"] == 0
 
     def test_memory_tier_unaffected_by_disk_damage(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         self._flip_one_byte(os.path.join(str(tmp_path), _hexkey("k1") + ".json"))
         # Memory copy still valid: damage on disk must not poison it.
         entry = cache.get(_hexkey("k1"))
         assert entry is not None and entry.blob == _blob(_hexkey("k1"))
-
-
-class TestSharding:
-    def test_routing_is_deterministic_and_in_range(self):
-        cache = ArtifactCache(max_bytes=10_000, shards=8)
-        keys = [cache_key(f"prog {i}", "rap", 5) for i in range(50)]
-        for key in keys:
-            idx = cache.shard_of(key)
-            assert 0 <= idx < 8
-            assert cache.shard_of(key) == idx  # pure function
-        # Real sha256 keys spread over more than one shard.
-        assert len({cache.shard_of(key) for key in keys}) > 1
-
-    def test_non_hex_keys_route_without_error(self):
-        cache = ArtifactCache(max_bytes=10_000, shards=8)
-        for key in ("a", "k1", "t0.r0", "absent", ""):
-            assert 0 <= cache.shard_of(key) < 8
-        cache.put("a", _blob("a"), {})
-        assert cache.get("a") is not None
-
-    def test_budget_divides_across_shards(self):
-        cache = ArtifactCache(max_bytes=8_000, shards=8)
-        assert all(
-            snap["max_bytes"] == 1_000 for snap in cache.stats()["shards"]
-        )
-        assert cache.stats()["shard_count"] == 8
-
-    def test_shards_must_be_positive(self):
-        try:
-            ArtifactCache(shards=0)
-        except ValueError:
-            pass
-        else:  # pragma: no cover - only on failure
-            raise AssertionError("shards=0 accepted")
-
-    def test_keys_spans_all_shards(self):
-        cache = ArtifactCache(max_bytes=1_000_000, shards=4)
-        keys = {cache_key(f"prog {i}", "rap", 5) for i in range(20)}
-        for key in keys:
-            cache.put(key, _blob(key[:8]), {})
-        assert set(cache.keys()) == keys
-        assert len(cache) == len(keys)
 
 
 class TestMissKinds:
@@ -432,7 +395,7 @@ class TestMissKinds:
 
 class TestConcurrency:
     """Satellite: hammer the cache from 8 threads; no torn reads, exact
-    per-shard byte accounting, counter conservation across shards."""
+    byte accounting, counter conservation."""
 
     THREADS = 8
     ROUNDS = 60
@@ -476,24 +439,20 @@ class TestConcurrency:
 
         assert errors == []
         stats = cache.stats()
-        # Counter conservation: every get was exactly a hit or a miss,
-        # and the aggregate equals the sum over shards.
+        # Counter conservation: every get was exactly a hit or a miss.
         gets = 2 * self.THREADS * self.ROUNDS
         assert stats["hits"] + stats["misses"] == gets
         assert stats["hits"] > 0 and stats["misses"] > 0
-        assert sum(s["hits"] for s in stats["shards"]) == stats["hits"]
-        assert sum(s["misses"] for s in stats["shards"]) == stats["misses"]
-        assert sum(s["bytes"] for s in stats["shards"]) == stats["bytes"]
+        assert sum(cache.miss_kinds().values()) == stats["misses"]
         # Byte accounting is exact: the tracked total equals the sum of
         # the live entries' sizes (entry size is a pure function of the
-        # key here), and every shard respects its own budget.
+        # key here), and the tier respects its budget.
         live = sum(
             CacheEntry(key, _blob(key, 200), {"t": 0}).size
             for key in cache.keys()
         )
-        assert cache.total_bytes == live
-        for snap in stats["shards"]:
-            assert snap["bytes"] <= snap["max_bytes"]
+        assert cache.total_bytes == live == stats["bytes"]
+        assert stats["bytes"] <= stats["max_bytes"]
         assert stats["evictions"] > 0
         # Deterministic responses: a surviving key still returns its
         # exact original bytes.

@@ -49,14 +49,12 @@ class TestServeParser:
         # live in Supervision / ArtifactCache, audited below.
         assert parser.get_default("job_timeout") is None
         assert parser.get_default("cache_bytes") is None
-        assert parser.get_default("cache_shards") is None
 
     def test_help_text_numbers_match(self):
         text = build_serve_parser().format_help()
         assert f"default: {defaults.JOB_TIMEOUT_S:.0f}" in text
         assert f"default: {defaults.STORM_WINDOW_S:.0f}" in text
         assert f"default: {defaults.CACHE_BYTES // (1024 * 1024)} MiB" in text
-        assert f"default: {defaults.CACHE_SHARDS}" in text
         assert defaults.WORKER_MODE in text
 
 

@@ -1,6 +1,7 @@
 """The replicated artifact store and live ring membership: cache wire
-ops, write-through replication, zero-warm-loss failover, read-repair,
-hinted handoff, admin membership ops, and the full-ring-outage story."""
+ops, write-through replication, zero-warm-loss failover, read-repair
+(also of a replica that was down during write-through), admin
+membership ops, and the full-ring-outage story."""
 
 import threading
 import time
@@ -14,12 +15,7 @@ from repro.service.client import (
     ServiceError,
     connect_with_retry,
 )
-from repro.service.router import (
-    HandoffQueue,
-    HashRing,
-    RouterService,
-    affinity_key,
-)
+from repro.service.router import HashRing, RouterService, affinity_key
 from repro.service.server import CompileServer, CompileService
 
 SOURCES = [
@@ -298,12 +294,15 @@ class TestReplication:
         stats = router.handle({"op": "stats"})
         assert stats["router"]["read_repairs"] >= 1
 
-    def test_replica_down_queues_hint_and_probe_flushes_it(self):
+    def test_replica_down_during_write_through_is_read_repaired(self):
+        """A replica that was down when a cold compile wrote through
+        misses that write; once it is back, the first compile routed to
+        it is read-repaired from the primary and answers warm."""
         servers = [_start_backend()[0] for _ in range(2)]
         router = _make_router(servers, replication=2)
         try:
             request = _compile_request(SOURCES[4])
-            replica = router.ring.replicas(affinity_key(request), 2)[1]
+            primary, replica = router.ring.replicas(affinity_key(request), 2)
             replica_index = [
                 i for i, server in enumerate(servers)
                 if f"127.0.0.1:{server.server_address[1]}" == replica
@@ -314,20 +313,30 @@ class TestReplication:
 
             cold = router.handle(dict(request))
             assert cold["ok"] and cold["cache"] == "miss"
-            snapshot = router.handoff.snapshot()
-            assert snapshot["queued"] == 1 and snapshot["pending"] == 1
+            assert cold["backend"] == primary
+            assert router.handle({"op": "stats"})["router"]["replica_writes"] == 0
 
-            # The daemon comes back on the same port; the next probe
-            # success flushes the hint into it.
+            # The daemon comes back on the same port with an empty
+            # cache, and the router sees it healthy again.
             servers[replica_index], _ = _start_backend(port=port)
             assert router.probe(router.backends[replica]) is True
-            snapshot = router.handoff.snapshot()
-            assert snapshot["flushed"] == 1 and snapshot["pending"] == 0
-            got = servers[replica_index].service.submit(
+            missing = servers[replica_index].service.submit(
                 {"op": "cache-get", "key": cold["key"]}
             )
-            assert got["ok"], "flushed hint did not land"
-            assert got["meta"]["image_sha256"] == cold["image_sha256"]
+            assert missing["error"]["kind"] == "replica-miss"
+
+            # Route the next compile to the replica: the primary stays
+            # up (it is the repair source) but leaves the healthy set.
+            for _ in range(router.probe_failures):
+                router.backends[primary].note_failure(router.probe_failures)
+            repaired = router.handle(dict(request))
+            assert repaired["ok"], repaired
+            assert repaired["backend"] == replica
+            assert repaired["cache"] == "hit"
+            assert repaired["image_sha256"] == cold["image_sha256"]
+            assert repaired["output"] == cold["output"]
+            stats = router.handle({"op": "stats"})
+            assert stats["router"]["read_repairs"] >= 1
         finally:
             router.stop()
             for server in servers:
@@ -335,57 +344,6 @@ class TestReplication:
                     _stop_backend(server)
                 except Exception:
                     pass
-
-
-class TestHandoffQueue:
-    def test_offer_take_flush_accounting(self):
-        queue = HandoffQueue(budget_bytes=1000)
-        assert queue.offer("b1", "k1", "x" * 100, {"n": 1})
-        assert queue.offer("b2", "k2", "y" * 100, {"n": 2})
-        taken = queue.take("b1")
-        assert [(key, blob) for key, blob, _ in taken] == [("k1", "x" * 100)]
-        queue.note_flushed(len(taken))
-        snapshot = queue.snapshot()
-        assert snapshot["queued"] == 2
-        assert snapshot["flushed"] == 1
-        assert snapshot["pending"] == 1
-        assert snapshot["pending_bytes"] == 100
-
-    def test_same_slot_replaces_not_duplicates(self):
-        queue = HandoffQueue(budget_bytes=1000)
-        queue.offer("b1", "k1", "old" * 10, {})
-        queue.offer("b1", "k1", "new" * 20, {})
-        taken = queue.take("b1")
-        assert len(taken) == 1
-        assert taken[0][1] == "new" * 20
-        assert queue.snapshot()["pending_bytes"] == 0
-
-    def test_budget_overflow_drops_oldest_first(self):
-        queue = HandoffQueue(budget_bytes=250)
-        queue.offer("b1", "k1", "a" * 100, {})
-        queue.offer("b1", "k2", "b" * 100, {})
-        queue.offer("b1", "k3", "c" * 100, {})  # 300 > 250: k1 goes
-        snapshot = queue.snapshot()
-        assert snapshot["dropped"] == 1
-        assert snapshot["pending"] == 2
-        keys = [key for key, _, _ in queue.take("b1")]
-        assert keys == ["k2", "k3"]
-
-    def test_oversized_hint_refused_and_counted(self):
-        queue = HandoffQueue(budget_bytes=50)
-        assert queue.offer("b1", "huge", "z" * 51, {}) is False
-        snapshot = queue.snapshot()
-        assert snapshot["dropped"] == 1
-        assert snapshot["pending"] == 0
-
-    def test_discard_empties_a_backends_hints(self):
-        queue = HandoffQueue(budget_bytes=1000)
-        queue.offer("b1", "k1", "a" * 10, {})
-        queue.offer("b2", "k2", "b" * 10, {})
-        assert queue.discard("b1") == 1
-        snapshot = queue.snapshot()
-        assert snapshot["pending"] == 1
-        assert snapshot["pending_bytes"] == 10
 
 
 # ----------------------------------------------------------------------------
@@ -502,8 +460,7 @@ class TestMembership:
         assert total_fraction == pytest.approx(1.0)
         for ring in shares.values():
             assert 0.0 < ring["keyspace_fraction"] < 1.0
-        for counter in ("replica_writes", "read_repairs", "handoff_queued",
-                        "handoff_flushed", "handoff_dropped"):
+        for counter in ("replica_writes", "read_repairs", "failovers"):
             assert counter in stats["router"]
 
     def test_ring_ownership_math(self):

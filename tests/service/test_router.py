@@ -2,9 +2,13 @@
 dispatch, failover under a backend kill, warm-affinity byte identity,
 and stats aggregation."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -591,3 +595,55 @@ class TestBackendLedger:
         with backend.forwarding():
             assert backend.snapshot()["in_flight"] == 1
         assert backend.in_flight == 0
+
+
+class TestRouterLimits:
+    """A probe interval of zero or below makes the prober spin without
+    sleeping; NaN never elapses; zero probe failures or a replication
+    factor below one describe no ring at all."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("probe_interval_s", 0, "probe_interval_s must be finite and positive"),
+            ("probe_interval_s", -1.0, "probe_interval_s must be finite"),
+            ("probe_interval_s", float("nan"), "probe_interval_s must be finite"),
+            ("timeout", 0, "timeout must be finite and positive"),
+            ("timeout", float("inf"), "timeout must be finite and positive"),
+            ("probe_failures", 0, "probe_failures must be at least 1"),
+            ("replication", -3, "replication must be at least 1"),
+        ],
+    )
+    def test_router_service_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RouterService([("127.0.0.1", 1)], **{field: value})
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--probe-interval", "0", "--probe-interval must be finite and positive"),
+            ("--probe-interval", "nan", "--probe-interval must be finite"),
+            ("--timeout", "-1", "--timeout must be finite and positive"),
+            ("--probe-failures", "0", "--probe-failures must be at least 1"),
+            ("--replication", "-3", "--replication must be at least 1"),
+        ],
+        ids=[
+            "probe-interval-0",
+            "probe-interval-nan",
+            "timeout-negative",
+            "probe-failures-0",
+            "replication-negative",
+        ],
+    )
+    def test_router_cli_rejects(self, flag, value, message):
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "router", "--port", "0",
+             "--backend", "127.0.0.1:1", flag, value],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode == 2
+        assert message in done.stderr

@@ -525,6 +525,16 @@ class TestTCPLayer:
             assert response["error"]["kind"] == "request"
             assert client.ping()  # the connection is still usable
 
+    def test_non_object_line_gets_a_typed_answer(self, server):
+        # JSON that is not an object is a malformed request: it gets a
+        # typed answer and the connection stays usable.
+        with self._client(server) as client:
+            for payload in ([1], "compile", None):
+                response = client.request(payload)
+                assert not response["ok"]
+                assert response["error"]["kind"] == "request"
+            assert client.ping()
+
     def test_two_clients_share_the_cache(self, server):
         with self._client(server) as one:
             one.compile(TRIVIAL, k=4)
@@ -566,6 +576,7 @@ class TestServiceLimits:
             ("--job-timeout", "nan", "--job-timeout must be finite and positive"),
             ("--storm-window", "nan", "--storm-window must be finite and positive"),
             ("--storm-window", "-1", "--storm-window must be finite and positive"),
+            ("--cache-bytes", "-5", "--cache-bytes must be >= 0"),
         ],
         ids=[
             "queue-limit-0",
@@ -573,6 +584,7 @@ class TestServiceLimits:
             "job-timeout-nan",
             "storm-window-nan",
             "storm-window-negative",
+            "cache-bytes-negative",
         ],
     )
     def test_serve_rejects_bad_limits(self, flag, value, message):
