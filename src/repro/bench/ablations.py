@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..compiler import compile_source
 from .harness import Harness
-from .suite import PROGRAMS, BenchProgram, program, program_names
+from .suite import BenchProgram, program, program_names
 
 DEFAULT_PROGRAMS = ("hsort", "sieve", "queens", "linpack")
 

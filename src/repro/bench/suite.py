@@ -10,7 +10,7 @@ contributes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 _PROGRAM_DIR = os.path.join(os.path.dirname(__file__), "programs")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from .graph import CFG, BasicBlock
+from .graph import CFG
 
 
 class DominatorTree:

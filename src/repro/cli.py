@@ -26,9 +26,9 @@ Usage (``python -m repro ...``):
     python -m repro request prog.mc --deadline-ms 200 --retries 3
     python -m repro router --backend 127.0.0.1:9363 --backend 127.0.0.1:9364
     python -m repro router-admin drain 127.0.0.1:9363   # rolling-restart step
-    python -m repro loadgen --requests 40 --port 9363  # latency/hit-rate report
+    python -m repro loadgen --requests 40 --port 9363  # hit-rate/determinism drill
     python -m repro loadgen --chaos --retries 3    # chaos harness (serve --chaos)
-    python -m repro loadgen --saturate --port 9362 --out BENCH_router_baseline.json
+    python -m repro loadgen --rolling-restart --backends 3  # restart under load
 
 The driver is a thin layer over the library; everything it prints can be
 obtained programmatically (see README).  Failures surface as structured

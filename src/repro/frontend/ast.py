@@ -8,7 +8,7 @@ IR builder relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .errors import SourceLocation
 from .tokens import TokenKind

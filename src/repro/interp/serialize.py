@@ -29,7 +29,7 @@ exactly like freshly allocated ones.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..ir.iloc import Instr, Op, Reg, Symbol
 from ..pdg.graph import GlobalVar

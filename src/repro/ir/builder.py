@@ -33,7 +33,7 @@ propose — and is used by the region-granularity ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..frontend import ast
 from ..frontend.errors import SemanticError

@@ -14,7 +14,7 @@ signals for the hierarchical spill patch-up logic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..cfg.graph import CFG
 from .iloc import Instr, Op

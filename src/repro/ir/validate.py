@@ -9,7 +9,7 @@ sane).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Sequence, Set
 
 from .iloc import Instr, Op, Reg
 

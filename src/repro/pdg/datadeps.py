@@ -20,10 +20,8 @@ derived by mapping instructions to their owning regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..cfg.graph import CFG
-from ..cfg.reachdefs import chains_for
 from ..ir.iloc import Instr, Reg
 from .graph import PDGFunction
 from .liveness import FunctionAnalysis

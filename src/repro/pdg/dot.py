@@ -7,9 +7,9 @@ edges), reproducing the visual vocabulary of the paper's Figure 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..ir.iloc import Instr, Op
+from ..ir.iloc import Instr
 from .datadeps import flow_dependences
 from .graph import PDGFunction
 from .liveness import FunctionAnalysis

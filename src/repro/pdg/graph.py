@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from ..ir.iloc import Instr, Reg, vreg
-from .nodes import Item, Predicate, Region
+from .nodes import Predicate, Region
 
 
 @dataclass

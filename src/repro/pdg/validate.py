@@ -19,7 +19,7 @@ Checked invariants:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from ..ir.iloc import Instr, Op
 from .graph import PDGFunction

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ...ir.iloc import Instr, Reg
+from ...ir.iloc import Reg
 from ...pdg.liveness import FunctionAnalysis
 from ...pdg.nodes import Region
 from ..interference import IGNode, InterferenceGraph

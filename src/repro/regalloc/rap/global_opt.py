@@ -26,8 +26,7 @@ rewrite fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...cfg.graph import CFG
 from ...ir.iloc import Instr, Op, Reg, Symbol, copy as copy_instr

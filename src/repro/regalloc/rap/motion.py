@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...ir.iloc import Instr, Op, Reg, Symbol, ldm, preg, stm
 from ...pdg.graph import PDGFunction
-from ...pdg.nodes import Predicate, Region
+from ...pdg.nodes import Region
 from ...resilience import faults
 
 

@@ -25,7 +25,7 @@ only ``global``-space symbols (spill slots are private to the activation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...ir.iloc import Instr, Op, Reg, Symbol, copy as copy_instr
 from ...resilience import faults

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...cfg.graph import CFG, BasicBlock
-from ...ir.iloc import Instr, Op, Reg, Symbol, ldm, stm
+from ...ir.iloc import Instr, Reg, Symbol, ldm, stm
 from ...pdg.liveness import FunctionAnalysis, Placement
 from ...pdg.nodes import Item, Predicate, Region
 from ...resilience import faults

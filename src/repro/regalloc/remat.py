@@ -21,11 +21,11 @@ the removed stores plus shorter live ranges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Set, Tuple, Union
 
 from ..ir.iloc import Instr, Op, Reg
 from ..pdg.graph import PDGFunction
-from ..pdg.nodes import Predicate, Region
+from ..pdg.nodes import Predicate
 
 Number = Union[int, float]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
-from ..ir.iloc import Instr, Op, Reg, Symbol, ldm, stm
+from ..ir.iloc import Instr, Reg, Symbol, ldm, stm
 
 
 def spill_linear(

@@ -17,14 +17,14 @@ property the test suite checks by differential execution.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..cfg.graph import CFG
 from ..ir.iloc import Instr, Op
 from ..resilience import faults
 from .dag import BlockDag
-from .latency import DEFAULT_LATENCIES, LatencyModel
+from .latency import LatencyModel
 
 
 @dataclass

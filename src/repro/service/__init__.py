@@ -32,12 +32,13 @@ instead — and, with the router, N of them behind one address:
   behind ``python -m repro request``, with typed protocol errors and
   opt-in retry (exponential backoff + jitter) of transient failures,
   and the JSON-lines daemon loop that ``serve`` and ``router`` share.
-* :mod:`repro.service.loadgen` — a closed-loop load generator reporting
-  latency percentiles, throughput, and cache hit rate; a ``--chaos``
-  mode that injects worker crashes, hangs, and malformed requests
-  mid-run and asserts every request is answered exactly once; and a
-  ``--saturate`` mode that steps concurrency to find the knee of the
-  latency/throughput curve.
+* :mod:`repro.service.loadgen` — a closed-loop correctness drill
+  reporting typed answers, determinism mismatches, and cache hit rate;
+  a ``--chaos`` mode that injects worker crashes, hangs, and malformed
+  requests mid-run and asserts every request is answered exactly once;
+  and a ``--rolling-restart`` drill that restarts every backend of a
+  replicating fleet under load with zero lost requests.  Latency and
+  throughput are perfbench's ``service`` workload.
 * :mod:`repro.service.defaults` — the single source of truth for every
   service-facing default (ports, budgets, deadlines, supervision).
 

@@ -112,19 +112,9 @@ ROUTER_REPLICATION = 2
 
 #: Backends spawned by ``loadgen --rolling-restart``.
 DRILL_BACKENDS = 3
-#: Closed-loop requests issued per drill phase (warm pass, each
-#: restart window, final warm pass).
+#: Closed-loop requests issued by the drill's warm pass and by its final
+#: pass after every restart (at least one per mix entry).
 DRILL_REQUESTS_PER_PHASE = 16
 #: Post-restart warm hit rate the drill pins (previously-warm keys must
 #: still answer warm after every backend restarted).
 DRILL_WARM_HIT_RATE = 0.9
-
-# -- the saturation harness --------------------------------------------------
-
-#: Closed-loop concurrency steps swept by ``loadgen --saturate``.
-SATURATE_STEPS = (1, 2, 4, 8)
-#: Requests issued at each concurrency step.
-SATURATE_REQUESTS_PER_STEP = 32
-#: A step is "at the knee" once it reaches this fraction of the best
-#: observed throughput; the knee is the smallest such concurrency.
-SATURATE_KNEE_FRACTION = 0.9

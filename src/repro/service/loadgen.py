@@ -1,4 +1,4 @@
-"""Closed-loop load generator for the compile service.
+"""Closed-loop correctness drill for the compile service.
 
 ``python -m repro loadgen`` drives a running daemon with N concurrent
 workers, each holding one connection and issuing the next request the
@@ -8,14 +8,21 @@ request mix cycles through bench-suite programs plus the committed fuzz
 corpus (``tests/corpus/``) — the same inputs the rest of the repository
 measures and replays.
 
-The report gives client-observed latency percentiles (p50/p95/p99),
-throughput, error counts, and the cache hit rate *as seen by this run's
-responses*, plus a determinism check: every response for the same cache
-key must carry the same image sha256 and execution output; any
-disagreement is counted as a mismatch (and fails the CI smoke job).
+loadgen is not a benchmark: latency and throughput through router →
+daemon → worker are perfbench's ``service`` workload
+(docs/BENCHMARKING.md).  The report counts what a drill asserts — typed
+answers, errors, unanswered requests, and the cache hit rate *as seen by
+this run's responses* — plus a determinism check: every response for the
+same cache key must carry the same image sha256 and execution output;
+any disagreement is counted as a mismatch (and fails the CI smoke job).
 The ``artifacts`` map in the JSON report (cache key -> image sha256)
 lets two runs be compared for byte-identical warm paths — the chaos
 smoke job diffs a chaos run against a chaos-free one.
+
+``--rolling-restart`` needs no running daemon: it spawns its own
+backends and a replicating router, then restarts every backend while
+back-to-back :func:`run_loadgen` passes keep the fleet under load (see
+:func:`run_rolling_restart`).
 
 Chaos mode
 ----------
@@ -30,9 +37,9 @@ interleaves failure probes with the normal closed-loop mix:
   watchdog SIGKILLs it; the expected answer is ``worker-timeout``
   within watchdog + grace (the probe's client-observed latency is
   reported so CI can assert it beat the socket timeout);
-* **malformed probes** — protocol garbage (missing source, unknown op,
-  unparseable JSON) that must come back as typed ``request`` errors,
-  never a hung connection or a traceback.
+* **malformed probes** — protocol garbage (missing source, unknown op)
+  that must come back as typed ``request`` errors, never a hung
+  connection or a traceback.
 
 Each probe uses a *distinct* source text so chaos strikes land on
 dedicated cache keys and never quarantine the normal mix.  Normal
@@ -48,15 +55,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import defaults
-from .client import ServiceClient, ServiceError, connect_with_retry
+from .client import ServiceError, connect_with_retry
 
 #: Small, fast bench programs — the default mix base.
 DEFAULT_PROGRAMS = ("sieve", "hanoi")
@@ -88,14 +95,6 @@ def default_mix(
     return mix
 
 
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    rank = math.ceil(q / 100.0 * len(sorted_values))
-    return sorted_values[max(0, min(len(sorted_values) - 1, rank - 1))]
-
-
 @dataclass
 class LoadgenReport:
     """One load-generation run, summarized."""
@@ -111,14 +110,9 @@ class LoadgenReport:
     #: exactly-one-typed-answer invariant, seen from the client.
     unanswered: int = 0
     wall_s: float = 0.0
-    latencies_ms: List[float] = field(default_factory=list, repr=False)
     error_kinds: Dict[str, int] = field(default_factory=dict)
     #: cache key -> image sha256, for cross-run byte-identity diffs.
     artifacts: Dict[str, str] = field(default_factory=dict, repr=False)
-    #: interpreter-tier census over executing cold responses (cache hits
-    #: replay a stored result and report no tier; empty when ``execute``
-    #: was off for the whole run).
-    interp_tiers: Dict[str, int] = field(default_factory=dict)
     #: chaos-mode probe accounting (empty when chaos was off).
     chaos: Dict[str, Any] = field(default_factory=dict)
 
@@ -126,18 +120,6 @@ class LoadgenReport:
     def hit_rate(self) -> float:
         answered = self.hits + self.misses
         return self.hits / answered if answered else 0.0
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.ok / self.wall_s if self.wall_s else 0.0
-
-    def percentiles(self) -> Dict[str, float]:
-        values = sorted(self.latencies_ms)
-        return {
-            "p50_ms": percentile(values, 50.0),
-            "p95_ms": percentile(values, 95.0),
-            "p99_ms": percentile(values, 99.0),
-        }
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
@@ -150,31 +132,19 @@ class LoadgenReport:
             "unanswered": self.unanswered,
             "hit_rate": round(self.hit_rate, 4),
             "wall_s": round(self.wall_s, 3),
-            "throughput_rps": round(self.throughput_rps, 2),
             "error_kinds": dict(self.error_kinds),
             "artifacts": dict(self.artifacts),
         }
-        if self.interp_tiers:
-            out["interp_tiers"] = dict(sorted(self.interp_tiers.items()))
         if self.chaos:
             out["chaos"] = dict(self.chaos)
-        out.update(
-            {name: round(value, 3) for name, value in self.percentiles().items()}
-        )
         return out
 
     def render(self, stream=None) -> None:
         stream = stream or sys.stdout
-        pct = self.percentiles()
         print(
             f"[loadgen] {self.ok}/{self.requests} ok, "
-            f"{self.errors} errors, {self.unanswered} unanswered, "
-            f"{self.throughput_rps:.1f} req/s over {self.wall_s:.2f}s",
-            file=stream,
-        )
-        print(
-            f"[loadgen] latency p50={pct['p50_ms']:.1f}ms "
-            f"p95={pct['p95_ms']:.1f}ms p99={pct['p99_ms']:.1f}ms",
+            f"{self.errors} errors, {self.unanswered} unanswered "
+            f"in {self.wall_s:.2f}s",
             file=stream,
         )
         print(
@@ -183,12 +153,6 @@ class LoadgenReport:
             f"{self.mismatches} determinism mismatches",
             file=stream,
         )
-        if self.interp_tiers:
-            census = ", ".join(
-                f"{tier}={count}"
-                for tier, count in sorted(self.interp_tiers.items())
-            )
-            print(f"[loadgen] interp tiers (cold executes): {census}", file=stream)
         if self.chaos:
             print(
                 f"[loadgen] chaos: {self.chaos['probes']} probes "
@@ -200,10 +164,17 @@ class LoadgenReport:
             )
 
 
+#: Error kinds raised below the response layer: no typed answer from the
+#: server reached the client, even after retries.
+_UNANSWERED = ("connect", "transport", "timeout", "protocol")
+
+
 def _count(report: LoadgenReport, lock: threading.Lock, kind: str) -> None:
     with lock:
         report.errors += 1
         report.error_kinds[kind] = report.error_kinds.get(kind, 0) + 1
+        if kind in _UNANSWERED:
+            report.unanswered += 1
 
 
 def _run_chaos_probes(
@@ -270,7 +241,7 @@ def _run_chaos_probes(
                 answer("ok")  # chaos disabled server-side: still typed
             except ServiceError as err:
                 answer(err.kind)
-                if err.kind in ("transport", "timeout", "protocol"):
+                if err.kind in _UNANSWERED:
                     chaos["unanswered"] += 1
                     try:
                         client._reconnect()
@@ -293,7 +264,7 @@ def _run_chaos_probes(
                 answer("ok")
             except ServiceError as err:
                 answer(err.kind)
-                if err.kind in ("transport", "timeout", "protocol"):
+                if err.kind in _UNANSWERED:
                     chaos["unanswered"] += 1
             time.sleep(probe_gap_s)
     with lock:
@@ -322,10 +293,13 @@ def run_loadgen(
 
     Request ``i`` uses ``mix[i % len(mix)]``, so repeated runs offer an
     identical, fully repeatable request stream — the property the warm
-    throughput comparison in CI relies on.  With ``chaos=True`` a probe
+    hit-rate check in CI relies on.  With ``chaos=True`` a probe
     thread interleaves crash/hang/malformed probes with the normal mix
     (see the module docstring).
     """
+    for name, value in (("requests", requests), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     mix = mix if mix is not None else default_mix()
     if not mix:
         raise ValueError("empty request mix")
@@ -341,12 +315,7 @@ def run_loadgen(
                 host, port, retries=retries, backoff=0.05
             )
         except (ServiceError, OSError):
-            with lock:
-                report.errors += 1
-                report.unanswered += 1
-                report.error_kinds["connect"] = (
-                    report.error_kinds.get("connect", 0) + 1
-                )
+            _count(report, lock, "connect")
             return
         client.retries = retries
         with client:
@@ -357,7 +326,6 @@ def run_loadgen(
                         return
                     next_index[0] = index + 1
                 name, source = mix[index % len(mix)]
-                started = time.perf_counter()
                 try:
                     response = client.compile(
                         source,
@@ -369,29 +337,21 @@ def run_loadgen(
                     )
                 except ServiceError as err:
                     _count(report, lock, err.kind)
-                    if err.kind in ("transport", "timeout", "protocol"):
-                        # Below the response layer: no typed answer from
-                        # the server reached us even after retries.
-                        with lock:
-                            report.unanswered += 1
+                    if err.kind in _UNANSWERED:
                         try:
                             client._reconnect()
                         except OSError:
                             return
                     continue
-                except (OSError, ConnectionError):
+                except OSError:
                     _count(report, lock, "transport")
-                    with lock:
-                        report.unanswered += 1
                     return
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
                 fingerprint = (
                     response.get("image_sha256", ""),
                     json.dumps(response.get("output", []), sort_keys=True),
                 )
                 with lock:
                     report.ok += 1
-                    report.latencies_ms.append(elapsed_ms)
                     if response.get("cache") == "hit":
                         report.hits += 1
                     else:
@@ -402,16 +362,11 @@ def run_loadgen(
                     report.artifacts[response["key"]] = response.get(
                         "image_sha256", ""
                     )
-                    tier = response.get("interp_tier")
-                    if tier:
-                        report.interp_tiers[tier] = (
-                            report.interp_tiers.get(tier, 0) + 1
-                        )
 
     started = time.perf_counter()
     threads = [
         threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
-        for i in range(max(1, workers))
+        for i in range(workers)
     ]
     if chaos:
         threads.append(
@@ -434,111 +389,6 @@ def run_loadgen(
     if stream is not None:
         report.render(stream)
     return report
-
-
-def run_saturation(
-    host: str = defaults.HOST,
-    port: int = defaults.PORT,
-    steps: Sequence[int] = defaults.SATURATE_STEPS,
-    requests_per_step: int = defaults.SATURATE_REQUESTS_PER_STEP,
-    mix: Optional[List[Tuple[str, str]]] = None,
-    allocator: str = defaults.ALLOCATOR,
-    k: int = defaults.K,
-    schedule: bool = False,
-    deadline_ms: Optional[float] = None,
-    retries: int = 0,
-    warmup: bool = True,
-    knee_fraction: float = defaults.SATURATE_KNEE_FRACTION,
-    stream=None,
-) -> Dict[str, Any]:
-    """Step closed-loop concurrency to find the knee of the
-    latency/throughput curve.
-
-    Runs the same repeatable request stream at each concurrency in
-    ``steps`` and reports throughput + latency percentiles per step.
-    Closed-loop saturation looks like throughput flattening while
-    latency keeps climbing (each new client only adds queueing); the
-    *knee* is the smallest concurrency already delivering
-    ``knee_fraction`` of the best observed throughput — past it, extra
-    concurrency buys latency, not work.  An optional warmup pass
-    populates the artifact cache first, so the sweep measures the
-    steady (warm) state rather than cold-compile cost; cold behavior is
-    visible in each step's ``hit_rate``.
-    """
-    if not steps:
-        raise ValueError("need at least one concurrency step")
-    mix = mix if mix is not None else default_mix()
-    common: Dict[str, Any] = {
-        "host": host, "port": port, "mix": mix, "allocator": allocator,
-        "k": k, "schedule": schedule, "deadline_ms": deadline_ms,
-        "retries": retries,
-    }
-    if warmup:
-        if stream is not None:
-            print(f"[saturate] warmup: {len(mix)} requests", file=stream)
-        run_loadgen(requests=len(mix), workers=2, **common)
-    results: List[Dict[str, Any]] = []
-    for concurrency in steps:
-        report = run_loadgen(
-            requests=requests_per_step, workers=concurrency, **common
-        )
-        pct = report.percentiles()
-        step = {
-            "concurrency": concurrency,
-            "requests": report.requests,
-            "ok": report.ok,
-            "errors": report.errors,
-            "unanswered": report.unanswered,
-            "throughput_rps": round(report.throughput_rps, 2),
-            "hit_rate": round(report.hit_rate, 4),
-            **{name: round(value, 3) for name, value in pct.items()},
-        }
-        results.append(step)
-        if stream is not None:
-            print(
-                f"[saturate] c={concurrency}: "
-                f"{step['throughput_rps']:.1f} req/s, "
-                f"p50={step['p50_ms']:.1f}ms p95={step['p95_ms']:.1f}ms, "
-                f"{step['errors']} errors",
-                file=stream,
-            )
-    max_throughput = max(step["throughput_rps"] for step in results)
-    knee = next(
-        (
-            step["concurrency"]
-            for step in results
-            if step["throughput_rps"] >= knee_fraction * max_throughput
-        ),
-        results[-1]["concurrency"],
-    )
-    # A router target reports its backend count; a plain daemon counts 1.
-    backends = 1
-    try:
-        with ServiceClient(host, port, timeout=30.0) as client:
-            stats = client.stats()
-            if "router" in stats:
-                backends = len(stats.get("backends", ())) or 1
-    except (ServiceError, OSError):
-        pass
-    summary = {
-        "target": f"{host}:{port}",
-        "backends": backends,
-        "cpus": defaults.usable_cpus(),
-        "mix_size": len(mix),
-        "requests_per_step": requests_per_step,
-        "knee_fraction": knee_fraction,
-        "steps": results,
-        "max_throughput_rps": max_throughput,
-        "knee_concurrency": knee,
-    }
-    if stream is not None:
-        print(
-            f"[saturate] knee at c={knee} "
-            f"(max {max_throughput:.1f} req/s across {backends} backend(s), "
-            f"{summary['cpus']} CPU(s))",
-            file=stream,
-        )
-    return summary
 
 
 def _free_port(host: str) -> int:
@@ -609,6 +459,12 @@ def _wait_for_backend(host: str, port: int, timeout_s: float = 30.0) -> None:
         time.sleep(0.1)
 
 
+def _drifted(report: LoadgenReport, baseline: Dict[str, str]) -> int:
+    """Keys whose image differs from the one the warm baseline saw."""
+    artifacts = report.artifacts.items()
+    return sum(baseline.get(key, sha) != sha for key, sha in artifacts)
+
+
 def run_rolling_restart(
     backends: int = defaults.DRILL_BACKENDS,
     requests_per_phase: int = defaults.DRILL_REQUESTS_PER_PHASE,
@@ -622,16 +478,18 @@ def run_rolling_restart(
     """The rolling-restart drill: restart every backend under load.
 
     Spawns ``backends`` serve daemons plus an in-process router with
-    replication on, warms the cache, then — with a closed-loop load
-    thread running the whole time — walks the fleet one backend at a
-    time: ``backend-drain`` (artifacts stream to their new owners),
-    SIGTERM, wait for exit, restart on the same port, ``backend-add``.
-    The drill passes iff **zero** requests were lost (no errors, no
-    unanswered, no determinism mismatches in any phase), every artifact
-    stayed byte-identical to the warm baseline, and the final pass —
-    after every backend restarted — still answers warm at
-    ``warm_hit_rate`` or better.  That final number is the whole point:
-    before replication, each restart threw its share of the cache away.
+    replication on, warms the cache, then — with a background thread
+    running :func:`run_loadgen` passes over the drill mix the whole
+    time — walks the fleet one backend at a time: ``backend-drain``
+    (artifacts stream to their new owners), SIGTERM, wait for exit,
+    restart on the same port, ``backend-add``.  The drill passes iff
+    **zero** requests were lost (no errors, no unanswered, no
+    determinism mismatches in any phase), the background load answered
+    at least one request, every artifact stayed byte-identical to the
+    warm baseline, and the final pass — after every backend restarted —
+    still answers warm at ``warm_hit_rate`` or better.  That final
+    number is the whole point: before replication, each restart threw
+    its share of the cache away.
     """
     import subprocess
 
@@ -661,58 +519,18 @@ def run_rolling_restart(
     server = None
     load_thread = None
     stop = threading.Event()
-    background = {
-        "requests": 0, "ok": 0, "errors": 0, "unanswered": 0,
-        "mismatches": 0, "error_kinds": {},
-    }
-    background_lock = threading.Lock()
-    baseline: Dict[str, str] = {}
+    passes: List[LoadgenReport] = []
 
     def background_load(router_port: int) -> None:
-        """Closed-loop requests for the whole restart window; every one
+        """Closed-loop passes for the whole restart window; every answer
         must come back typed, correct, and byte-identical."""
-        try:
-            client = connect_with_retry(
-                host, router_port, retries=5, backoff=0.1
+        while not stop.is_set():
+            passes.append(
+                run_loadgen(
+                    host=host, port=router_port, requests=len(mix),
+                    workers=1, mix=mix, retries=retries,
+                )
             )
-        except (ServiceError, OSError):
-            with background_lock:
-                background["unanswered"] += 1
-            return
-        client.retries = retries
-        index = 0
-        with client:
-            while not stop.is_set():
-                name, source = mix[index % len(mix)]
-                index += 1
-                with background_lock:
-                    background["requests"] += 1
-                try:
-                    response = client.compile(source, filename=name)
-                except ServiceError as err:
-                    with background_lock:
-                        background["errors"] += 1
-                        background["error_kinds"][err.kind] = (
-                            background["error_kinds"].get(err.kind, 0) + 1
-                        )
-                        if err.kind in ("transport", "timeout", "protocol"):
-                            background["unanswered"] += 1
-                    try:
-                        client._reconnect()
-                    except OSError:
-                        return
-                    continue
-                except OSError:
-                    with background_lock:
-                        background["errors"] += 1
-                        background["unanswered"] += 1
-                    return
-                sha = response.get("image_sha256", "")
-                with background_lock:
-                    background["ok"] += 1
-                    if baseline.setdefault(response["key"], sha) != sha:
-                        background["mismatches"] += 1
-                time.sleep(0.01)
 
     try:
         say(f"spawning {backends} backends on ports {ports}")
@@ -742,12 +560,8 @@ def run_rolling_restart(
             requests=max(requests_per_phase, len(mix)),
             workers=2, mix=mix, retries=retries,
         )
-        baseline.update(warm.artifacts)
-        summary["warm"] = {
-            "requests": warm.requests, "ok": warm.ok,
-            "errors": warm.errors, "unanswered": warm.unanswered,
-            "mismatches": warm.mismatches,
-        }
+        baseline = dict(warm.artifacts)
+        summary["warm"] = warm.as_dict()
         say(
             f"warm pass: {warm.ok}/{warm.requests} ok, "
             f"{len(baseline)} distinct artifacts"
@@ -798,12 +612,22 @@ def run_rolling_restart(
 
         stop.set()
         load_thread.join(timeout=60.0)
-        summary["background"] = dict(background)
+        background: Dict[str, Any] = {"passes": len(passes)}
+        for count in ("requests", "ok", "errors", "unanswered", "mismatches"):
+            background[count] = sum(getattr(each, count) for each in passes)
+        background["artifacts_drifted"] = sum(
+            _drifted(report, baseline) for report in passes
+        )
+        background["error_kinds"] = dict(
+            sum((Counter(report.error_kinds) for report in passes), Counter())
+        )
+        summary["background"] = background
         say(
-            f"background load: {background['ok']}/{background['requests']} "
-            f"ok, {background['errors']} errors, "
-            f"{background['unanswered']} unanswered, "
-            f"{background['mismatches']} mismatches"
+            "background load: {ok}/{requests} ok over {passes} passes, "
+            "{errors} errors, {unanswered} unanswered, {mismatches} "
+            "mismatches, {artifacts_drifted} artifacts drifted".format(
+                **background
+            )
         )
 
         final = run_loadgen(
@@ -811,18 +635,8 @@ def run_rolling_restart(
             requests=max(requests_per_phase, len(mix)),
             workers=2, mix=mix, retries=retries,
         )
-        drifted = sum(
-            1
-            for key, sha in final.artifacts.items()
-            if baseline.get(key, sha) != sha
-        )
-        summary["final"] = {
-            "requests": final.requests, "ok": final.ok,
-            "errors": final.errors, "unanswered": final.unanswered,
-            "mismatches": final.mismatches,
-            "hit_rate": round(final.hit_rate, 4),
-            "artifacts_drifted": drifted,
-        }
+        drifted = _drifted(final, baseline)
+        summary["final"] = {**final.as_dict(), "artifacts_drifted": drifted}
         summary["post_restart_hit_rate"] = round(final.hit_rate, 4)
         say(
             f"final pass: {final.ok}/{final.requests} ok, "
@@ -831,13 +645,13 @@ def run_rolling_restart(
             f"{drifted} artifacts drifted"
         )
         summary["ok"] = (
-            warm.errors == 0 and warm.unanswered == 0
-            and warm.mismatches == 0
-            and background["errors"] == 0
-            and background["unanswered"] == 0
-            and background["mismatches"] == 0
-            and final.errors == 0 and final.unanswered == 0
-            and final.mismatches == 0
+            all(
+                summary[phase][count] == 0
+                for phase in ("warm", "background", "final")
+                for count in ("errors", "unanswered", "mismatches")
+            )
+            and background["ok"] >= 1
+            and background["artifacts_drifted"] == 0
             and drifted == 0
             and final.hit_rate >= warm_hit_rate
         )
@@ -900,23 +714,6 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chaos-hangs", type=int, default=1)
     parser.add_argument("--chaos-malformed", type=int, default=2)
     parser.add_argument(
-        "--saturate", action="store_true",
-        help="step closed-loop concurrency to find the knee of the "
-             "latency/throughput curve instead of one fixed run",
-    )
-    parser.add_argument(
-        "--saturate-steps", type=int, nargs="*",
-        default=list(defaults.SATURATE_STEPS), metavar="N",
-        help="concurrency steps for --saturate "
-             f"(default: {' '.join(str(s) for s in defaults.SATURATE_STEPS)})",
-    )
-    parser.add_argument(
-        "--requests-per-step", type=int,
-        default=defaults.SATURATE_REQUESTS_PER_STEP,
-        help="requests per concurrency step under --saturate "
-             f"(default: {defaults.SATURATE_REQUESTS_PER_STEP})",
-    )
-    parser.add_argument(
         "--rolling-restart", action="store_true",
         help="self-contained drill: spawn backends + a replicating "
              "router, then restart every backend under load asserting "
@@ -940,7 +737,19 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
 
 
 def loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_loadgen_parser().parse_args(argv)
+    parser = build_loadgen_parser()
+    args = parser.parse_args(argv)
+    for flag, value, least in (
+        ("--requests", args.requests, 1),
+        ("--workers", args.workers, 1),
+        ("--chaos-crashes", args.chaos_crashes, 0),
+        ("--chaos-hangs", args.chaos_hangs, 0),
+        ("--chaos-malformed", args.chaos_malformed, 0),
+        ("--backends", args.backends, 2),
+        ("--replication", args.replication, 1),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be at least {least}, got {value}")
 
     if args.rolling_restart:
         summary = run_rolling_restart(
@@ -956,30 +765,6 @@ def loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
                 json.dump(summary, handle, indent=2, sort_keys=True)
                 handle.write("\n")
         return 0 if summary["ok"] else 1
-
-    if args.saturate:
-        summary = run_saturation(
-            host=args.host,
-            port=args.port,
-            steps=args.saturate_steps,
-            requests_per_step=args.requests_per_step,
-            mix=default_mix(args.programs, corpus=not args.no_corpus),
-            allocator=args.allocator,
-            k=args.k,
-            schedule=args.schedule,
-            deadline_ms=args.deadline_ms,
-            retries=args.retries,
-            stream=sys.stdout,
-        )
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(summary, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        clean = all(
-            step["errors"] == 0 and step["unanswered"] == 0
-            for step in summary["steps"]
-        )
-        return 0 if clean else 1
 
     report = run_loadgen(
         host=args.host,

@@ -10,7 +10,7 @@ differential tests compare with this helper rather than ``==``.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 Number = Union[int, float]
 

@@ -123,7 +123,7 @@ class TestUniverse:
             "--persist-dir",    # serve factory
             "--backend",        # router factory
             "--retries",        # request factory
-            "--saturate",       # loadgen factory
+            "--rolling-restart",  # loadgen factory
             "--expect-generation",  # router-admin factory
             "--jobs",           # bench --help
             "--trace",          # perfbench --help

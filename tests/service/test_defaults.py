@@ -14,11 +14,7 @@ from repro.service.client import (
     build_request_parser,
     connect_with_retry,
 )
-from repro.service.loadgen import (
-    build_loadgen_parser,
-    run_loadgen,
-    run_saturation,
-)
+from repro.service.loadgen import build_loadgen_parser, run_loadgen
 from repro.service.router import RouterService, build_router_parser
 from repro.service.server import (
     DEFAULT_RUNG_POLICY,
@@ -140,12 +136,6 @@ class TestLoadgen:
         assert parser.get_default("port") == defaults.PORT
         assert parser.get_default("allocator") == defaults.ALLOCATOR
         assert parser.get_default("k") == defaults.K
-        assert parser.get_default("saturate_steps") == (
-            list(defaults.SATURATE_STEPS)
-        )
-        assert parser.get_default("requests_per_step") == (
-            defaults.SATURATE_REQUESTS_PER_STEP
-        )
 
     def test_run_signatures(self):
         sig = _signature_defaults(run_loadgen)
@@ -153,7 +143,3 @@ class TestLoadgen:
         assert sig["port"] == defaults.PORT
         assert sig["allocator"] == defaults.ALLOCATOR
         assert sig["k"] == defaults.K
-        sat = _signature_defaults(run_saturation)
-        assert sat["steps"] == defaults.SATURATE_STEPS
-        assert sat["requests_per_step"] == defaults.SATURATE_REQUESTS_PER_STEP
-        assert sat["knee_fraction"] == defaults.SATURATE_KNEE_FRACTION

@@ -1,17 +1,17 @@
-"""The closed-loop load generator, driven against an in-process daemon."""
+"""The closed-loop drill, driven against an in-process daemon; the
+rolling-restart drill spawns its own backends and router."""
 
 import io
 import threading
 
 import pytest
 
-from repro.service.defaults import usable_cpus
+from repro.cli import main as cli_main
 from repro.service.loadgen import (
     LoadgenReport,
     default_mix,
-    percentile,
     run_loadgen,
-    run_saturation,
+    run_rolling_restart,
 )
 from repro.service.server import CompileServer, CompileService
 
@@ -36,16 +36,6 @@ def _address(server):
     return server.server_address[:2]
 
 
-class TestPercentile:
-    def test_nearest_rank(self):
-        values = sorted(float(v) for v in range(1, 101))
-        assert percentile(values, 50.0) == 50.0
-        assert percentile(values, 95.0) == 95.0
-        assert percentile(values, 99.0) == 99.0
-        assert percentile([], 50.0) == 0.0
-        assert percentile([7.0], 99.0) == 7.0
-
-
 class TestMix:
     def test_default_mix_includes_suite_and_corpus(self):
         names = [name for name, _ in default_mix()]
@@ -60,7 +50,7 @@ class TestMix:
 
 
 class TestClosedLoop:
-    def test_warm_pass_hits_and_speeds_up(self, server):
+    def test_warm_pass_hits_the_cache(self, server):
         host, port = _address(server)
         cold = run_loadgen(
             host, port, requests=len(TINY_MIX), workers=2, mix=TINY_MIX, k=5
@@ -74,11 +64,8 @@ class TestClosedLoop:
         )
         assert warm.ok == 4 * len(TINY_MIX)
         assert warm.errors == 0 and warm.mismatches == 0
-        # The acceptance bar: >= 90% hit rate on a repeated mix and
-        # >= 2x the cold throughput (in practice the margin is huge —
-        # a warm answer runs zero compiler stages).
+        # The acceptance bar: >= 90% hit rate on a repeated mix.
         assert warm.hit_rate >= 0.9
-        assert warm.throughput_rps >= 2 * cold.throughput_rps
 
     def test_report_shape_and_rendering(self, server):
         host, port = _address(server)
@@ -101,11 +88,10 @@ class TestClosedLoop:
             "misses",
             "mismatches",
             "hit_rate",
+            "unanswered",
             "wall_s",
-            "throughput_rps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
+            "error_kinds",
+            "artifacts",
         ):
             assert field in payload, field
         text = stream.getvalue()
@@ -124,49 +110,61 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             run_loadgen(mix=[])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("requests", 0), ("requests", -5), ("workers", 0)],
+    )
+    def test_vacuous_run_rejected(self, field, value):
+        # Nothing would be sent, and the run would pass a drill.
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            run_loadgen("127.0.0.1", 1, mix=TINY_MIX, **{field: value})
 
-class TestSaturation:
-    def test_sweep_shape_and_knee(self, server):
-        host, port = _address(server)
-        stream = io.StringIO()
-        summary = run_saturation(
-            host=host,
-            port=port,
-            steps=(1, 2),
-            requests_per_step=4,
-            mix=TINY_MIX,
-            stream=stream,
-        )
-        assert summary["target"] == f"{host}:{port}"
-        assert summary["backends"] == 1  # plain daemon, not a router
-        assert summary["cpus"] == usable_cpus()
-        assert [step["concurrency"] for step in summary["steps"]] == [1, 2]
-        for step in summary["steps"]:
-            assert step["ok"] == 4
-            assert step["errors"] == 0 and step["unanswered"] == 0
-            assert step["throughput_rps"] > 0
-            assert step["hit_rate"] == 1.0  # the warmup pass warmed it
-            for field in ("p50_ms", "p95_ms", "p99_ms"):
-                assert field in step
-        assert summary["knee_concurrency"] in (1, 2)
-        assert summary["max_throughput_rps"] == max(
-            step["throughput_rps"] for step in summary["steps"]
-        )
-        text = stream.getvalue()
-        assert "[saturate] warmup" in text and "knee at c=" in text
 
-    def test_needs_at_least_one_step(self):
-        with pytest.raises(ValueError):
-            run_saturation(steps=())
+class TestLoadgenCLI:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--requests", "0"], "--requests must be at least 1"),
+            (["--requests", "-5"], "--requests must be at least 1"),
+            (["--workers", "0"], "--workers must be at least 1"),
+            (["--chaos", "--chaos-crashes", "-1"], "--chaos-crashes must be"),
+            (["--chaos", "--chaos-hangs", "-1"], "--chaos-hangs must be"),
+            (["--chaos", "--chaos-malformed", "-2"], "--chaos-malformed must"),
+            (["--rolling-restart", "--backends", "1"], "--backends must be"),
+            (["--rolling-restart", "--replication", "0"], "--replication must"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, argv, message, capsys):
+        # Port 1 refuses connections, so a run that is not refused
+        # up front fails fast instead of waiting on a daemon.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["loadgen", "--port", "1", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestReportMath:
     def test_rates_with_no_traffic(self):
         report = LoadgenReport()
         assert report.hit_rate == 0.0
-        assert report.throughput_rps == 0.0
-        assert report.percentiles() == {
-            "p50_ms": 0.0,
-            "p95_ms": 0.0,
-            "p99_ms": 0.0,
-        }
+
+
+class TestRollingRestart:
+    def test_two_backend_drill_passes_under_load(self):
+        stream = io.StringIO()
+        summary = run_rolling_restart(backends=2, stream=stream)
+        assert summary["ok"], stream.getvalue()
+        assert len(summary["restarts"]) == 2
+        for record in summary["restarts"]:
+            assert record["drain_ok"] and record["add_ok"], record
+        background = summary["background"]
+        assert background["ok"] >= 1, background
+        assert background["errors"] == 0 and background["unanswered"] == 0
+        assert background["artifacts_drifted"] == 0
+        assert summary["warm"]["ok"] == summary["warm"]["requests"]
+        assert summary["final"]["hit_rate"] >= 0.9
+        assert "PASS" in stream.getvalue()
+
+    def test_needs_two_backends(self):
+        with pytest.raises(ValueError, match="at least 2 backends"):
+            run_rolling_restart(backends=1)
