@@ -17,6 +17,17 @@ The format is deliberately plain data (dicts, lists, strings, numbers):
   parameter slots; a :class:`~repro.interp.machine.ProgramImage` adds the
   global-variable layout.
 
+The stored and wire form of an image (:func:`dumps_image`) is its
+*canonical JSON* (sorted keys, no whitespace) deflated with
+:mod:`zlib`.  The JSON is encoded one function at a time and each piece
+goes straight into the compressor, so neither the whole payload tree
+nor the whole JSON text is ever built.  An artifact's identity
+(:func:`image_sha256`) is the sha256 of the *inflated* canonical JSON,
+so it does not depend on the compressor; the blob's own length is the
+stored size.  Decoding (:func:`inflate_image`) is bounded and typed: a
+blob that is not a complete deflate stream, or that inflates past the
+caller's bound, raises :class:`ImageDecodeError`.
+
 Round-trip fidelity is the contract: ``image_from_payload(
 image_to_payload(img))`` must produce byte-identical listings
 (:func:`repro.ir.printer.format_code`) and observably identical
@@ -28,8 +39,10 @@ exactly like freshly allocated ones.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Any, Dict, Optional
+import zlib
+from typing import Any, Dict, Iterator, Optional
 
 from ..ir.iloc import Instr, Op, Reg, Symbol
 from ..pdg.graph import GlobalVar
@@ -40,6 +53,14 @@ from .machine import FunctionImage, ProgramImage
 FORMAT_VERSION = 1
 
 _OPS_BY_VALUE = {op.value: op for op in Op}
+
+#: The canonical encoder: the artifact's identity is a hash of its output.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class ImageDecodeError(ValueError):
+    """A blob that is not a complete deflate stream, or that inflates
+    past the caller's bound."""
 
 
 # -- registers and symbols ----------------------------------------------------
@@ -171,19 +192,61 @@ def image_from_payload(payload: Dict[str, Any]) -> ProgramImage:
     )
 
 
+def _canonical_pieces(image: ProgramImage) -> Iterator[str]:
+    """The canonical JSON of :func:`image_to_payload`, one function at a
+    time; joined, the pieces equal ``json.dumps(image_to_payload(image),
+    sort_keys=True, separators=(",", ":"))``."""
+    yield '{"functions":['
+    for index, name in enumerate(sorted(image.functions)):
+        if index:
+            yield ","
+        yield _CANONICAL.encode(function_to_dict(image.functions[name]))
+    yield '],"globals":'
+    yield _CANONICAL.encode([global_to_dict(var) for var in image.globals])
+    yield ',"version":' + _CANONICAL.encode(FORMAT_VERSION) + "}"
+
+
 def dumps_image(image: ProgramImage) -> bytes:
-    """Canonical byte form (sorted keys, no whitespace churn): equal
-    images serialize to equal bytes, so cached-vs-fresh byte diffs and
-    cache size accounting are exact."""
-    return json.dumps(
-        image_to_payload(image), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """The stored form: canonical JSON (sorted keys, no whitespace
+    churn), deflated.  Equal images serialize to equal bytes, so
+    cached-vs-fresh byte diffs and cache size accounting are exact."""
+    deflate = zlib.compressobj()
+    chunks = [
+        deflate.compress(piece.encode("utf-8"))
+        for piece in _canonical_pieces(image)
+    ]
+    chunks.append(deflate.flush())
+    return b"".join(chunks)
+
+
+def inflate_image(blob: bytes, limit: Optional[int] = None) -> bytes:
+    """The canonical JSON inside a :func:`dumps_image` blob.
+
+    Raises :class:`ImageDecodeError` when ``blob`` is not exactly one
+    complete deflate stream or inflates past ``limit`` bytes."""
+    inflate = zlib.decompressobj()
+    try:
+        text = inflate.decompress(blob, 0 if limit is None else limit + 1)
+    except zlib.error as err:
+        raise ImageDecodeError(f"image blob is not deflated: {err}") from None
+    if limit is not None and len(text) > limit:
+        raise ImageDecodeError(f"image blob inflates past {limit} bytes")
+    if not inflate.eof or inflate.unused_data:
+        raise ImageDecodeError("image blob is not one complete deflate stream")
+    return text
+
+
+def image_sha256(blob: bytes, limit: Optional[int] = None) -> str:
+    """An artifact's identity: the sha256 of its inflated canonical JSON
+    (raises :class:`ImageDecodeError` like :func:`inflate_image`)."""
+    return hashlib.sha256(inflate_image(blob, limit)).hexdigest()
 
 
 def loads_image(blob: bytes) -> Optional[ProgramImage]:
     """Parse :func:`dumps_image` output; None on version mismatch (a
-    persisted cache written by an older format is simply cold)."""
-    payload = json.loads(blob.decode("utf-8"))
+    persisted cache written by an older format is simply cold).  Raises
+    :class:`ImageDecodeError` like :func:`inflate_image`."""
+    payload = json.loads(inflate_image(blob))
     if payload.get("version") != FORMAT_VERSION:
         return None
     return image_from_payload(payload)

@@ -20,13 +20,18 @@ hold open for many requests.  Operations:
 ``{"op": "cache-get", "key": ...}``
     Serve the raw cached artifact (blob + meta) for ``key`` without
     compiling anything; a typed ``replica-miss`` error when the key is
-    not cached here.  The router's replication layer uses it to fetch
-    artifacts for write-through and read-repair.
+    not cached here.  ``blob`` is the base64 of the stored deflated
+    canonical JSON (:func:`repro.interp.serialize.dumps_image`).  The
+    router's replication layer uses it to fetch artifacts for
+    write-through and read-repair.
 ``{"op": "cache-put", "key": ..., "blob": ..., "meta": ...}``
     Install raw artifact bytes under ``key`` without compiling —
     the replica-write half of the router's replication protocol.  The
-    blob must match ``meta["image_sha256"]``; damaged bytes are
-    refused with a ``request`` error rather than cached.
+    blob (base64, as ``cache-get`` serves it) must inflate within the
+    cache budget to canonical JSON whose sha256 is
+    ``meta["image_sha256"]``; bad base64, a bad deflate stream, an
+    oversized inflate or a hash mismatch is refused with a ``request``
+    error and nothing is installed.
 ``{"op": "cache-keys"}``
     Enumerate the memory-tier keys (key, routing affinity, byte size)
     — what the router streams off a backend being drained.
@@ -98,7 +103,7 @@ get an ``admission`` error mentioning the drain.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import base64
 import heapq
 import json
 import math
@@ -109,7 +114,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..interp.serialize import dumps_image
+from ..interp.serialize import dumps_image, image_sha256
 from ..resilience.config import PipelineConfig
 from ..resilience.fallback import FALLBACK_CHAIN, walk_ladder
 from ..resilience.telemetry import MetricsCollector
@@ -323,7 +328,7 @@ def compile_cold(
         "k": k,
         "schedule": spec["schedule"],
         "fallbacks": [event.as_dict() for event in fallbacks],
-        "image_sha256": _sha256_hex(blob),
+        "image_sha256": image_sha256(blob),
         "image_bytes": len(blob),
     }
     if spec["execute"]:
@@ -645,7 +650,7 @@ class CompileService:
             "ok": True,
             "op": "cache-get",
             "key": key,
-            "blob": entry.blob.decode("utf-8"),
+            "blob": base64.b64encode(entry.blob).decode("ascii"),
             "meta": entry.meta,
         }
 
@@ -665,20 +670,17 @@ class CompileService:
                     "request", "cache-put: need key, blob, meta"
                 ),
             }
-        raw = blob.encode("utf-8")
-        recorded = meta.get("image_sha256")
-        if recorded != _sha256_hex(raw):
+        try:
+            raw = base64.b64decode(blob, validate=True)
+            identity = image_sha256(raw, limit=defaults.CACHE_BYTES)
+        except ValueError as err:  # base64, deflate or bound
+            return _refused_put(key, f"cache-put: bad blob: {err}")
+        if meta.get("image_sha256") != identity:
             # Refuse to install damaged bytes: a replica write that was
             # corrupted in flight must not become a serveable artifact.
-            return {
-                "ok": False,
-                "key": key,
-                "error": _error_payload(
-                    "request",
-                    "cache-put: blob does not match meta image_sha256",
-                    key=key,
-                ),
-            }
+            return _refused_put(
+                key, "cache-put: blob does not match meta image_sha256"
+            )
         self.cache.put(key, raw, dict(meta))
         self.count("cache_puts")
         return {"ok": True, "op": "cache-put", "key": key, "bytes": len(raw)}
@@ -921,8 +923,12 @@ class CompileService:
         return response
 
 
-def _sha256_hex(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
+def _refused_put(key: str, message: str) -> Dict[str, Any]:
+    return {
+        "ok": False,
+        "key": key,
+        "error": _error_payload("request", message, key=key),
+    }
 
 
 def _finite_number(value: Any) -> bool:

@@ -1,15 +1,18 @@
 """The content-addressed artifact cache: keys, LRU accounting, disk tier,
 miss-kind classification, and the 8-thread hammer."""
 
+import base64
 import hashlib
 import json
 import os
 import threading
+import zlib
 
 import pytest
 
 from repro.interp.serialize import FORMAT_VERSION
 from repro.resilience.pipeline import PipelineConfig
+from repro.service import defaults
 from repro.service.cache import (
     ArtifactCache,
     CacheEntry,
@@ -22,10 +25,28 @@ SOURCE = "void main() { print(1); }"
 
 
 def _blob(tag: str, size: int = 64) -> bytes:
-    """A fake canonical payload of a controlled size."""
+    """A fake stored payload of a controlled size: canonical JSON padded
+    with spaces, deflated at level 0 (stored blocks: 11 bytes of zlib
+    framing), so the blob is ``size`` bytes long."""
     body = {"version": FORMAT_VERSION, "tag": tag}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return (text + " " * max(0, size - len(text))).encode()
+    return zlib.compress((text + " " * max(0, size - 11 - len(text))).encode(), 0)
+
+
+def _write_document(path: str, image: str, meta=None) -> None:
+    """A disk-tier file whose checksum matches its (image, meta), so
+    only the image's own encoding decides how it reads."""
+    meta = meta or {}
+    payload = json.dumps(
+        {"image": image, "meta": meta}, sort_keys=True, separators=(",", ":")
+    )
+    document = {
+        "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+        "meta": meta,
+        "image": image,
+    }
+    with open(path, "w") as handle:
+        json.dump(document, handle)
 
 
 class TestCacheKey:
@@ -199,6 +220,21 @@ class TestLRUAccounting:
         assert set(cache.keys()) == keys
         assert len(cache) == len(keys)
 
+    def test_blob_helper_has_the_stored_encoding(self):
+        assert len(_blob("x", 100)) == 100
+        assert json.loads(zlib.decompress(_blob("x", 100)))["tag"] == "x"
+
+    def test_size_is_fixed_when_the_entry_is_built(self, monkeypatch):
+        entry = CacheEntry("a", _blob("a"), {"output": [1]})
+        want = len(_blob("a")) + len('{"output":[1]}')
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("meta re-encoded on a size read")
+
+        monkeypatch.setattr(json, "dumps", no_encoding)
+        assert entry.size == want
+        assert entry.size == want
+
     def test_negative_budget_refused(self):
         with pytest.raises(ValueError, match="max_bytes must be >= 0"):
             ArtifactCache(max_bytes=-5)
@@ -329,6 +365,62 @@ class TestIntegrity:
             json.dump({"meta": {}, "image": body}, handle)
         assert cache.get(_hexkey("k9")) is None
         assert cache.stats()["miss_kinds"]["corrupt"] == 0
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            "not base64!",
+            base64.b64encode(b"not a deflate stream").decode(),
+            base64.b64encode(zlib.compress(b'{"version":1}')[:-3]).decode(),
+            base64.b64encode(
+                zlib.compress(b'{"version":1}' + b" " * 5_000)
+            ).decode(),
+        ],
+        ids=["bad-base64", "bad-deflate", "truncated-deflate", "past-bound"],
+    )
+    def test_undecodable_image_is_corrupt(self, tmp_path, monkeypatch, image):
+        # The checksum holds, so only the image's decode can fail.
+        monkeypatch.setattr(defaults, "CACHE_BYTES", 1_000)
+        path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        _write_document(path, image)
+        assert cache.get(_hexkey("k1")) is None
+        assert cache.stats()["miss_kinds"]["corrupt"] == 1
+        assert cache.stats()["corrupt"] == 1
+        scrubbed = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        assert scrubbed.stats()["scrub"] == {
+            "scanned": 1, "ok": 0, "stale": 0, "corrupt": 1,
+        }
+        assert not os.path.exists(path)
+
+    def test_canonical_json_image_reads_as_stale(self, tmp_path):
+        # A checksummed file holding the image as JSON text was written
+        # before images were stored deflated: cold, left in place.
+        path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
+        _write_document(path, json.dumps({"version": FORMAT_VERSION}))
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        assert cache.stats()["scrub"] == {
+            "scanned": 1, "ok": 0, "stale": 1, "corrupt": 0,
+        }
+        assert cache.get(_hexkey("k1")) is None
+        assert cache.stats()["miss_kinds"]["corrupt"] == 0
+        assert os.path.exists(path)
+
+    def test_older_version_in_the_stored_encoding_is_stale(self, tmp_path):
+        path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
+        old = zlib.compress(json.dumps({"version": FORMAT_VERSION - 1}).encode())
+        _write_document(path, base64.b64encode(old).decode())
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        assert cache.stats()["scrub"]["stale"] == 1
+        assert cache.get(_hexkey("k1")) is None
+        assert cache.stats()["miss_kinds"]["corrupt"] == 0
+
+    def test_persisted_image_is_base64_of_the_blob(self, tmp_path):
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        cache.put(_hexkey("k1"), _blob("k1"), {})
+        with open(os.path.join(str(tmp_path), _hexkey("k1") + ".json")) as handle:
+            document = json.load(handle)
+        assert base64.b64decode(document["image"]) == _blob("k1")
 
     def test_memory_tier_unaffected_by_disk_damage(self, tmp_path):
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))

@@ -3,11 +3,15 @@ ops, write-through replication, zero-warm-loss failover, read-repair
 (also of a replica that was down during write-through), admin
 membership ops, and the full-ring-outage story."""
 
+import base64
+import hashlib
 import threading
 import time
+import zlib
 
 import pytest
 
+from repro.service import defaults
 from repro.service.admin import build_admin_parser, _parse_address
 from repro.service.client import (
     RETRYABLE_KINDS,
@@ -160,9 +164,10 @@ class TestCacheOps:
     def test_put_refuses_checksum_mismatch(self):
         server, _ = _start_backend()
         try:
+            forged = base64.b64encode(zlib.compress(b'{"forged":true}'))
             refused = server.service.submit(
                 {"op": "cache-put", "key": "a" * 64,
-                 "blob": '{"forged": true}',
+                 "blob": forged.decode(),
                  "meta": {"image_sha256": "0" * 64}}
             )
             assert not refused["ok"]
@@ -170,6 +175,38 @@ class TestCacheOps:
             # Nothing was installed.
             still = server.service.submit({"op": "cache-get", "key": "a" * 64})
             assert not still["ok"]
+        finally:
+            _stop_backend(server)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            "not base64!",
+            "{\"version\": 1}",
+            base64.b64encode(b"not a deflate stream").decode(),
+            base64.b64encode(zlib.compress(b'{"version":1}')[:-3]).decode(),
+            base64.b64encode(
+                zlib.compress(b'{"version":1}' + b" " * 5_000)
+            ).decode(),
+        ],
+        ids=["bad-base64", "json-text", "bad-deflate", "truncated", "past-bound"],
+    )
+    def test_put_refuses_an_undecodable_blob(self, monkeypatch, blob):
+        monkeypatch.setattr(defaults, "CACHE_BYTES", 1_000)
+        server, _ = _start_backend()
+        try:
+            # A decode failure answers "bad blob"; a well-formed blob
+            # whose hash differs would get the mismatch message instead.
+            meta = {"image_sha256": hashlib.sha256(b'{"version":1}').hexdigest()}
+            refused = server.service.submit(
+                {"op": "cache-put", "key": "a" * 64, "blob": blob, "meta": meta}
+            )
+            assert not refused["ok"]
+            assert refused["error"]["kind"] == "request"
+            assert "bad blob" in refused["error"]["message"]
+            still = server.service.submit({"op": "cache-get", "key": "a" * 64})
+            assert not still["ok"]
+            assert server.service.cache.stats()["entries"] == 0
         finally:
             _stop_backend(server)
 
