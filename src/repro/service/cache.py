@@ -80,10 +80,11 @@ A cache constructed over a persist directory also runs a **startup
 scrub**: every ``*.json`` file is verified once, corrupt files are
 deleted (the replication layer above re-supplies them; a corrupt file
 kept on disk would just re-fail every read), and the result is
-reported under ``stats()["scrub"]``.  Files written by an older format
-version — or holding the image as plain canonical JSON text, the
-encoding before deflated images — fail the scrub as ``stale`` and are
-left in place: stale is cold, not corrupt.
+reported under ``stats()["scrub"]``.  A read that finds a file corrupt
+deletes it too, so it counts once, not on every later read.  Files
+written by an older format version — or holding the image as plain
+canonical JSON text, the encoding before deflated images — fail the
+scrub as ``stale`` and are left in place: stale is cold, not corrupt.
 """
 
 from __future__ import annotations
@@ -193,6 +194,11 @@ def verify_document(document: Any) -> Tuple[Optional[bytes], Optional[str]]:
     if version != FORMAT_VERSION:
         return None, "stale"
     return blob, None
+
+
+def _identity(status: os.stat_result) -> Tuple[int, int]:
+    """Which file a path names: ``os.replace`` installs a new inode."""
+    return status.st_ino, status.st_mtime_ns
 
 
 def key_components(
@@ -453,20 +459,37 @@ class ArtifactCache:
     ) -> Tuple[Optional[CacheEntry], Optional[str]]:
         """``(entry, miss_cause)``: the entry and None when the disk tier
         holds a good copy, or None and why not (``"absent"``, or
-        ``"stale"`` / ``"corrupt"`` as :func:`verify_document` says)."""
+        ``"stale"`` / ``"corrupt"`` as :func:`verify_document` says).
+
+        A file read as corrupt is deleted, as the scrub does, so the
+        next read is an ordinary miss instead of another ``corrupt``.
+        The file is removed only while it is still the one that was
+        read: a concurrent :meth:`put` replaces it with a new inode."""
         if not self.persist_dir:
             return None, "absent"
         path = self._path(key)
-        if not os.path.exists(path):
-            return None, "absent"
         try:
-            with open(path) as handle:
+            handle = open(path)
+        except FileNotFoundError:
+            return None, "absent"
+        except OSError:
+            return None, "corrupt"  # there but unreadable: counted, kept
+        with handle:
+            read = _identity(os.fstat(handle.fileno()))
+            try:
                 document = json.load(handle)
-        except (OSError, ValueError):
-            # Truncated or bit-flipped beyond parsing: corrupt, and the
-            # store must say so — never a crash, never "unclassified".
-            return None, "corrupt"
+            except (OSError, ValueError):
+                # Truncated or bit-flipped beyond parsing: corrupt, and
+                # the store must say so — never a crash, never
+                # "unclassified".
+                document = None
         blob, cause = verify_document(document)
+        if cause == "corrupt":
+            try:
+                if _identity(os.stat(path)) == read:
+                    os.remove(path)
+            except OSError:
+                pass  # already replaced or removed: nothing to delete
         if blob is None:
             return None, cause
         return CacheEntry(key, blob, document["meta"]), None
@@ -529,24 +552,11 @@ class ArtifactCache:
                 c not in "0123456789abcdef" for c in stem
             ):
                 continue
-            path = os.path.join(self.persist_dir, name)
+            cause = self._load_persisted(stem)[1]
+            if cause == "absent":
+                continue  # removed since the listing
             tally["scanned"] += 1
-            try:
-                with open(path) as handle:
-                    document = json.load(handle)
-                cause = verify_document(document)[1]
-            except (OSError, ValueError):
-                cause = "corrupt"
-            if cause is None:
-                tally["ok"] += 1
-            elif cause == "stale":
-                tally["stale"] += 1
-            else:
-                tally["corrupt"] += 1
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
+            tally[cause or "ok"] += 1
         self._scrub = tally
         return tally
 

@@ -351,8 +351,10 @@ class CompileService:
     ``workers`` supervised child processes (default: one per usable
     core) pull from the deadline queue; each owns a
     :class:`PassPipeline`.  ``worker_delay_s`` injects a fixed per-job
-    stall — a chaos/load-testing knob used by the saturation tests and
-    soak runs, zero in production.  ``supervision`` tunes the workers'
+    stall — a test knob, zero in production: the admission, deadline
+    and drain tests in ``tests/service/test_server.py`` fill the queue
+    with it, and ``tests/service/test_router.py`` holds a backend busy
+    with it.  ``supervision`` tunes the workers'
     watchdog/backoff/circuit-breaker parameters
     (:class:`repro.service.workers.Supervision`); ``chaos_enabled``
     makes worker processes honor the ``chaos`` request field

@@ -12,6 +12,7 @@ import pytest
 
 from repro.interp.serialize import FORMAT_VERSION
 from repro.resilience.pipeline import PipelineConfig
+from repro.service import cache as cache_module
 from repro.service import defaults
 from repro.service.cache import (
     ArtifactCache,
@@ -324,6 +325,42 @@ class TestIntegrity:
         assert stats["miss_kinds"]["unclassified"] == 0
         assert stats["corrupt"] == 1
 
+    def test_read_deletes_a_corrupt_file_and_counts_it_once(self, tmp_path):
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
+        cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
+        cache.clear()  # the reads must go to disk
+        self._flip_one_byte(path)
+        for _ in range(3):
+            assert cache.get(_hexkey("k1")) is None
+        stats = cache.stats()
+        assert stats["corrupt"] == 1
+        assert stats["miss_kinds"]["corrupt"] == 1
+        assert stats["misses"] == 3
+        assert not os.path.exists(path)
+
+    def test_read_keeps_a_file_a_put_replaced_meanwhile(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        key = _hexkey("k1")
+        path = os.path.join(str(tmp_path), key + ".json")
+        cache.put(key, _blob(key), {"output": [1]})
+        cache.clear()
+        self._flip_one_byte(path)
+        real_verify = cache_module.verify_document
+
+        def verify_then_put(document):
+            # A put lands between the read and the delete.
+            cache.put(key, _blob(key), {"output": [1]})
+            cache.clear()
+            return real_verify(document)
+
+        monkeypatch.setattr(cache_module, "verify_document", verify_then_put)
+        assert cache.get(key) is None
+        monkeypatch.undo()
+        assert cache.stats()["corrupt"] == 1
+        assert os.path.exists(path)
+        assert cache.get(key) is not None  # the put's good file
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
@@ -387,6 +424,8 @@ class TestIntegrity:
         assert cache.get(_hexkey("k1")) is None
         assert cache.stats()["miss_kinds"]["corrupt"] == 1
         assert cache.stats()["corrupt"] == 1
+        assert not os.path.exists(path)  # the read deleted it
+        _write_document(path, image)
         scrubbed = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         assert scrubbed.stats()["scrub"] == {
             "scanned": 1, "ok": 0, "stale": 0, "corrupt": 1,
