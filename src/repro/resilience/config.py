@@ -8,24 +8,20 @@ nothing from the compiler; :mod:`.pipeline` re-exports the name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
 class PipelineConfig:
     """Knobs of one pipeline instance.
 
-    ``max_cycles`` is the execute-stage cycle budget; ``max_alloc_rounds``
-    caps the allocators' build/spill iterations (``None`` keeps each
-    allocator's own default).  The ``verify_*`` switches exist so tests
-    can prove a given corruption is caught by a given check — production
+    ``max_cycles`` is the execute-stage cycle budget.  The validate
+    stage always runs; the ``verify_*`` switches exist so tests can
+    prove a given corruption is caught by a given check — production
     callers leave them all on.
     """
 
     granularity: str = "statement"
     max_cycles: int = 50_000_000
-    max_alloc_rounds: Optional[int] = None
-    verify: bool = True
     verify_spill_discipline: bool = True
     verify_assignment: bool = True
     #: independent transformation validators (see

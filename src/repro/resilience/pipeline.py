@@ -196,8 +196,6 @@ class PassPipeline:
         registry = _allocator_registry()
         if allocator not in registry:
             raise ValueError(f"unknown allocator {allocator!r}")
-        if self.config.max_alloc_rounds is not None:
-            alloc_kwargs.setdefault("max_rounds", self.config.max_alloc_rounds)
 
         result = self._run_stage(
             "allocate",
@@ -208,14 +206,13 @@ class PassPipeline:
         )
         if self.metrics is not None:
             self.metrics.record_allocation(result)
-        if self.config.verify:
-            self._run_stage(
-                "validate",
-                lambda: self.validate(func, allocator, k, result),
-                function=func.name,
-                allocator=allocator,
-                k=k,
-            )
+        self._run_stage(
+            "validate",
+            lambda: self.validate(func, allocator, k, result),
+            function=func.name,
+            allocator=allocator,
+            k=k,
+        )
         if do_schedule:
             self._run_stage(
                 "schedule",

@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import faults
@@ -399,7 +399,12 @@ def replay_bundle(
     bundle = load_bundle(directory)
     if config is None:
         if bundle.config:
-            config = PipelineConfig(**bundle.config)
+            # A bundle written by an older build may record knobs that
+            # have since been deleted; replay under the ones that remain.
+            known = {knob.name for knob in fields(PipelineConfig)}
+            config = PipelineConfig(
+                **{k: v for k, v in bundle.config.items() if k in known}
+            )
         else:
             config = PipelineConfig(granularity=bundle.granularity)
     inject = [faults.FaultSpec(**spec) for spec in bundle.injected]

@@ -1,20 +1,18 @@
 """Ring membership from the operator's terminal: ``repro router-admin``.
 
-The router (PR 7) froze its backend set at start; replication (this
-subsystem) made membership *mutable* — and this tool is the mutation
-surface.  Three verbs map onto the router's admin ops:
+A router's backend set is mutable at runtime, and this tool is the
+mutation surface.  Two verbs map onto the router's admin ops, and a
+third reads the ring:
 
 ``add HOST:PORT``
     Put a new (or restarted) daemon on the ring.  It starts taking its
     arcs immediately; read-repair warms it on first touch.
 ``remove HOST:PORT``
-    Drop a daemon abruptly — ring and roster at once.  Its cached
-    artifacts are abandoned (replicas still hold them under R > 1).
-``drain HOST:PORT``
-    The graceful exit: stop routing new keys to the daemon, stream its
-    still-cached artifacts to their new owners, then forget it.  The
-    building block of a rolling restart (docs/OPERATIONS.md has the
-    runbook).
+    Take a daemon off the ring and the roster at once.  Under R > 1
+    the rest of each replica set still holds its artifacts, and
+    read-repair copies them to the backends that inherit its arcs.
+    Remove, restart, add is a rolling restart (docs/OPERATIONS.md has
+    the runbook).
 ``generation``
     Print the current ring generation and per-backend ownership share —
     what an operator reads before a guarded mutation.
@@ -75,8 +73,7 @@ def build_admin_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
     for verb, summary in (
         ("add", "put a backend on the ring"),
-        ("remove", "drop a backend abruptly (artifacts abandoned)"),
-        ("drain", "stream a backend's artifacts out, then drop it"),
+        ("remove", "take a backend off the ring"),
     ):
         sub = commands.add_parser(verb, help=summary)
         sub.add_argument("backend", metavar="HOST:PORT")

@@ -360,8 +360,8 @@ class ArtifactCache:
 
     def peek(self, key: str) -> Optional[CacheEntry]:
         """Memory-tier lookup with no side effects: no counter bump, no
-        LRU refresh, no disk read.  The replication/drain machinery uses
-        it to enumerate entries without distorting hit accounting."""
+        LRU refresh, no disk read.  :meth:`fetch` starts with it so
+        replication reads do not distort hit accounting."""
         with self._lock:
             return self._entries.get(key)
 

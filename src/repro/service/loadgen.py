@@ -480,9 +480,10 @@ def run_rolling_restart(
     Spawns ``backends`` serve daemons plus an in-process router with
     replication on, warms the cache, then — with a background thread
     running :func:`run_loadgen` passes over the drill mix the whole
-    time — walks the fleet one backend at a time: ``backend-drain``
-    (artifacts stream to their new owners), SIGTERM, wait for exit,
-    restart on the same port, ``backend-add``.  The drill passes iff
+    time — walks the fleet one backend at a time: ``backend-remove``,
+    SIGTERM, wait for exit, restart on the same port with an empty
+    cache, ``backend-add``.  Read-repair warms the restarted backend
+    from the other members of each replica set.  The drill passes iff
     **zero** requests were lost (no errors, no unanswered, no
     determinism mismatches in any phase), the background load answered
     at least one request, every artifact stayed byte-identical to the
@@ -579,16 +580,11 @@ def run_rolling_restart(
                 name = f"{host}:{port}"
                 record: Dict[str, Any] = {"backend": name}
                 started = time.monotonic()
-                drained = admin.request(
-                    {"op": "backend-drain", "backend": name}
+                removed = admin.request(
+                    {"op": "backend-remove", "backend": name}
                 )
-                record["drain_ok"] = bool(drained.get("ok"))
-                record["streamed"] = drained.get("streamed", 0)
-                record["stream_failed"] = drained.get("stream_failed", 0)
-                say(
-                    f"drained {name}: streamed {record['streamed']} "
-                    f"artifacts (ok={record['drain_ok']})"
-                )
+                record["remove_ok"] = bool(removed.get("ok"))
+                say(f"removed {name} (ok={record['remove_ok']})")
                 proc = procs[port]
                 proc.terminate()
                 try:
@@ -607,7 +603,7 @@ def run_rolling_restart(
                     f"(ring generation {record['ring_generation']})"
                 )
                 summary["restarts"].append(record)
-                if not (record["drain_ok"] and record["add_ok"]):
+                if not (record["remove_ok"] and record["add_ok"]):
                     return summary
 
         stop.set()

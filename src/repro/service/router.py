@@ -98,16 +98,17 @@ asked for the key.
 Membership
 ----------
 
-The backend set is no longer frozen at router start.  Admin ops —
-``backend-add``, ``backend-remove``, ``backend-drain``, sent by
-``python -m repro router-admin`` — mutate the ring under a generation
-counter: every mutation bumps ``ring_generation``, and an op carrying
+The backend set is not frozen at router start.  Two admin ops —
+``backend-add`` and ``backend-remove``, sent by ``python -m repro
+router-admin`` — mutate the ring under a generation counter: every
+mutation bumps ``ring_generation``, and an op carrying
 ``expect_generation`` is refused with a typed ``ring-generation-skew``
 error when the ring moved underneath the operator (two operators, one
-ring: last writer does not silently win).  ``backend-drain`` is the
-graceful exit: the node leaves the ring first (new keys stop landing on
-it), its still-cached artifacts are streamed to their new owners, and
-only then is it forgotten — the building block of the rolling-restart
+ring: last writer does not silently win).  ``backend-remove`` takes a
+backend off the ring and the roster at once; under ``R > 1`` the keys
+it held are still cached on the rest of their replica sets, and
+read-repair copies them onto whichever backend inherits the arc the
+first time it misses.  Remove, restart, add is the rolling-restart
 drill (``repro loadgen --rolling-restart``), which restarts every
 backend in sequence under load with zero lost requests and a pinned
 post-restart warm hit rate.
@@ -327,7 +328,6 @@ class RouterService:
     def __init__(
         self,
         backends: Sequence[Tuple[str, int]],
-        vnodes: int = defaults.ROUTER_VNODES,
         probe_interval_s: float = defaults.ROUTER_PROBE_INTERVAL_S,
         probe_failures: int = defaults.ROUTER_PROBE_FAILURES,
         timeout: float = defaults.CLIENT_TIMEOUT_S,
@@ -353,8 +353,7 @@ class RouterService:
         }
         if len(self.backends) != len(backends):
             raise ValueError("duplicate backend address")
-        self.vnodes = vnodes
-        self.ring = HashRing(sorted(self.backends), vnodes=vnodes)
+        self.ring = HashRing(sorted(self.backends))
         self.probe_interval_s = probe_interval_s
         self.probe_failures = probe_failures
         self.timeout = timeout
@@ -460,8 +459,6 @@ class RouterService:
             return self.backend_add(request)
         if op == "backend-remove":
             return self.backend_remove(request)
-        if op == "backend-drain":
-            return self.backend_drain(request)
         if op != "compile":
             return {
                 "ok": False,
@@ -520,7 +517,7 @@ class RouterService:
                 with backend.forwarding():
                     if replicate:
                         response = self._compile_with_replication(
-                            backend, request, affinity, replicas
+                            backend, request, replicas
                         )
                     else:
                         response = self._client(backend).request(request)
@@ -563,7 +560,6 @@ class RouterService:
         self,
         backend: Backend,
         request: Dict[str, Any],
-        affinity: str,
         replicas: List[Backend],
     ) -> Dict[str, Any]:
         """One compile against one backend, replication-aware.
@@ -580,7 +576,6 @@ class RouterService:
         client = self._client(backend)
         probe = dict(request)
         probe["warm_only"] = True
-        probe["affinity"] = affinity
         response = client.request(probe)
         error = response.get("error") or {}
         if response.get("ok") or error.get("kind") != "replica-miss":
@@ -591,7 +586,6 @@ class RouterService:
         if isinstance(key, str) and key:
             self._read_repair(backend, key, replicas)
         compile_request = dict(request)
-        compile_request["affinity"] = affinity
         if isinstance(key, str) and key:
             # The probe already counted this request's hit-or-miss;
             # tell the backend not to count the re-sent lookup too.
@@ -728,13 +722,10 @@ class RouterService:
             "error": _error_payload(kind, message),
         }
 
-    def _rebuild_ring(self, exclude: Sequence[str] = ()) -> None:
-        """Swap in a new ring over the current backends (minus
-        ``exclude``) and bump the generation.  Call under ``_ring_lock``."""
-        members = sorted(
-            name for name in self.backends if name not in set(exclude)
-        )
-        self.ring = HashRing(members, vnodes=self.vnodes)
+    def _rebuild_ring(self) -> None:
+        """Swap in a new ring over the current backends and bump the
+        generation.  Call under ``_ring_lock``."""
+        self.ring = HashRing(sorted(self.backends))
         self.generation += 1
 
     def backend_add(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -770,8 +761,9 @@ class RouterService:
 
     def backend_remove(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """``backend-remove``: drop a daemon from ring and roster at
-        once — the abrupt form (its cached artifacts are abandoned; use
-        ``backend-drain`` to keep them warm)."""
+        once.  Its cached artifacts leave with it; under ``R > 1`` the
+        rest of each replica set still holds them, and read-repair
+        copies them to the backend that inherits the arc."""
         name = str(request.get("backend") or "")
         with self._ring_lock:
             skew = self._generation_skew(request)
@@ -793,94 +785,6 @@ class RouterService:
             "ring_generation": generation,
         }
 
-    def backend_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """``backend-drain``: the graceful exit.  The node leaves the
-        ring first (new keys stop landing on it), its still-cached
-        artifacts are streamed to their new owners under the post-drain
-        ring, and only then is it dropped from the roster."""
-        name = str(request.get("backend") or "")
-        with self._ring_lock:
-            skew = self._generation_skew(request)
-            if skew is not None:
-                return skew
-            backend = self.backends.get(name)
-            if backend is None:
-                return self._admin_error("request", f"unknown backend {name!r}")
-            if name not in self.ring.nodes:
-                return self._admin_error(
-                    "request", f"backend {name} is not on the ring"
-                )
-            if len(self.ring.nodes) == 1:
-                return self._admin_error(
-                    "request", "cannot drain the last backend"
-                )
-            self._rebuild_ring(exclude=(name,))
-            ring = self.ring
-        streamed, skipped, failed = self._stream_artifacts(backend, ring)
-        with self._ring_lock:
-            self.backends.pop(name, None)
-            self.generation += 1
-            generation = self.generation
-        return {
-            "ok": True,
-            "op": "backend-drain",
-            "backend": name,
-            "ring_generation": generation,
-            "streamed": streamed,
-            "skipped": skipped,
-            "stream_failed": failed,
-        }
-
-    def _stream_artifacts(
-        self, backend: Backend, ring: HashRing
-    ) -> Tuple[int, int, int]:
-        """Copy every still-cached artifact off a draining backend to
-        its owners under ``ring`` (the post-drain ring).  Returns
-        ``(streamed, skipped, failed)`` — ``skipped`` counts artifacts
-        with no stored affinity (compiled before replication existed, or
-        reached the daemon without a router), which have no ring
-        identity to re-place by."""
-        streamed = skipped = failed = 0
-        try:
-            with ServiceClient(
-                backend.host, backend.port, timeout=self.timeout
-            ) as client:
-                listing = client.request({"op": "cache-keys"})
-                if not listing.get("ok"):
-                    return streamed, skipped, failed + 1
-                for item in listing.get("keys") or []:
-                    key = item.get("key")
-                    affinity = item.get("affinity")
-                    if not isinstance(key, str) or not key:
-                        continue
-                    if not isinstance(affinity, str) or not affinity:
-                        skipped += 1
-                        continue
-                    got = client.request({"op": "cache-get", "key": key})
-                    blob = got.get("blob")
-                    meta = got.get("meta")
-                    if (
-                        not got.get("ok")
-                        or not isinstance(blob, str)
-                        or not isinstance(meta, dict)
-                    ):
-                        failed += 1
-                        continue
-                    sent = False
-                    for owner_name in ring.replicas(affinity, self.replication):
-                        owner = self.backends.get(owner_name)
-                        if owner is None or owner.name == backend.name:
-                            continue
-                        if self._replica_put(owner, key, blob, meta):
-                            sent = True
-                    if sent:
-                        streamed += 1
-                    else:
-                        failed += 1
-        except (ServiceError, OSError):
-            return streamed, skipped, failed + 1
-        return streamed, skipped, failed
-
     # -- stats ----------------------------------------------------------------
 
     def _stats_response(self) -> Dict[str, Any]:
@@ -898,11 +802,7 @@ class RouterService:
         for name in sorted(roster):
             backend = roster[name]
             snap = backend.snapshot()
-            # Ring share: a drained-but-not-yet-removed backend owns
-            # nothing (vnodes 0) while its artifacts stream out.
-            snap["ring"] = ownership.get(
-                name, {"vnodes": 0, "keyspace_fraction": 0.0}
-            )
+            snap["ring"] = ownership[name]
             try:
                 live = self._client(backend).request({"op": "stats"})
             except (ServiceError, OSError):
@@ -972,11 +872,6 @@ def build_router_parser() -> argparse.ArgumentParser:
         help="a backend serve daemon; repeat for each backend",
     )
     parser.add_argument(
-        "--vnodes", type=int, default=defaults.ROUTER_VNODES,
-        help="virtual nodes per backend on the hash ring "
-             f"(default: {defaults.ROUTER_VNODES})",
-    )
-    parser.add_argument(
         "--probe-interval", type=float, default=defaults.ROUTER_PROBE_INTERVAL_S,
         metavar="SECONDS",
         help="seconds between backend liveness probes "
@@ -1025,7 +920,6 @@ def router_main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     router = RouterService(
         backends,
-        vnodes=args.vnodes,
         probe_interval_s=args.probe_interval,
         probe_failures=args.probe_failures,
         timeout=args.timeout,
@@ -1036,7 +930,7 @@ def router_main(argv: Optional[Sequence[str]] = None) -> int:
     return run_daemon(
         server,
         f"repro router listening on {host}:{port} "
-        f"({len(backends)} backends, {args.vnodes} vnodes each)",
+        f"({len(backends)} backends, {defaults.ROUTER_VNODES} vnodes each)",
     )
 
 

@@ -32,18 +32,12 @@ hold open for many requests.  Operations:
     ``meta["image_sha256"]``; bad base64, a bad deflate stream, an
     oversized inflate or a hash mismatch is refused with a ``request``
     error and nothing is installed.
-``{"op": "cache-keys"}``
-    Enumerate the memory-tier keys (key, routing affinity, byte size)
-    — what the router streams off a backend being drained.
 
 A ``compile`` request may carry ``"warm_only": true``: answer from the
 cache (memory or disk tier) if warm, otherwise return a typed
 ``replica-miss`` error carrying the computed cache key *without
 compiling*.  The router probes with it so a warm miss at a key's
 primary can be repaired from a replica before paying for a compile.
-It may also carry ``"affinity"`` (the router's ring-position digest),
-which is stored in the artifact meta so membership changes can re-place
-cached entries without re-deriving request identities.
 
 Responses carry ``"ok"``; failures put a *frozen*
 :class:`~repro.resilience.errors.StageError` payload under ``"error"``
@@ -277,10 +271,6 @@ class PreparedJob:
     allocator_requested: str
     chaos: Optional[str]
     started: float
-    #: The router's ring-position digest for this request, stored in
-    #: the artifact meta so membership changes (drain streaming) can
-    #: re-place cached entries without re-deriving request identities.
-    affinity: Optional[str] = None
 
     def spec(self) -> Dict[str, Any]:
         """The picklable job body sent to a worker process."""
@@ -558,8 +548,6 @@ class CompileService:
             return self._cache_get_response(request)
         if op == "cache-put":
             return self._cache_put_response(request)
-        if op == "cache-keys":
-            return self._cache_keys_response()
         if op != "compile":
             return {
                 "ok": False,
@@ -687,24 +675,6 @@ class CompileService:
         self.count("cache_puts")
         return {"ok": True, "op": "cache-put", "key": key, "bytes": len(raw)}
 
-    def _cache_keys_response(self) -> Dict[str, Any]:
-        """The memory-tier census a router streams off a draining
-        backend: key, routing affinity (absent for artifacts compiled
-        without a router), and blob size for budget arithmetic."""
-        listing = []
-        for key in self.cache.keys():
-            entry = self.cache.peek(key)
-            if entry is None:
-                continue
-            listing.append(
-                {
-                    "key": key,
-                    "affinity": entry.meta.get("affinity"),
-                    "bytes": len(entry.blob),
-                }
-            )
-        return {"ok": True, "op": "cache-keys", "keys": listing}
-
     # -- request planning -----------------------------------------------------
 
     def prepare(
@@ -809,7 +779,6 @@ class CompileService:
                 None,
             )
         chaos = request.get("chaos")
-        affinity = request.get("affinity")
         return None, PreparedJob(
             key=key,
             components=components,
@@ -825,7 +794,6 @@ class CompileService:
             allocator_requested=allocator,
             chaos=chaos if isinstance(chaos, str) else None,
             started=started,
-            affinity=affinity if isinstance(affinity, str) else None,
         )
 
     def assemble_cold_response(
@@ -842,8 +810,6 @@ class CompileService:
         blob = meta.pop("_blob")
         if telemetry is not None:
             meta["telemetry"] = telemetry
-        if prepared.affinity is not None:
-            meta["affinity"] = prepared.affinity
         self.cache.put(
             prepared.key, blob, meta, components=prepared.components
         )

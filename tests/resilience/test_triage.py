@@ -151,6 +151,18 @@ class TestBundles:
         assert not result.reproduced
         assert "does NOT reproduce" in result.describe()
 
+    def test_replay_ignores_deleted_config_knobs(self, tmp_path):
+        path = self.make(tmp_path)
+        # A bundle from a build whose PipelineConfig still had these.
+        meta_path = os.path.join(path, "bundle.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta["config"].update(verify=True, max_alloc_rounds=None)
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        result = replay_bundle(path)
+        assert result.reproduced, result.describe()
+
     def test_signature_matching(self):
         a = Failure(kind="crash", stage="allocate", error="x")
         b = Failure(kind="crash", stage="allocate", error="entirely different")

@@ -109,7 +109,6 @@ class TestRouter:
         parser = build_router_parser()
         assert parser.get_default("host") == defaults.HOST
         assert parser.get_default("port") == defaults.ROUTER_PORT
-        assert parser.get_default("vnodes") == defaults.ROUTER_VNODES
         assert parser.get_default("probe_interval") == (
             defaults.ROUTER_PROBE_INTERVAL_S
         )
@@ -120,7 +119,6 @@ class TestRouter:
 
     def test_router_service_signature(self):
         sig = _signature_defaults(RouterService.__init__)
-        assert sig["vnodes"] == defaults.ROUTER_VNODES
         assert sig["probe_interval_s"] == defaults.ROUTER_PROBE_INTERVAL_S
         assert sig["probe_failures"] == defaults.ROUTER_PROBE_FAILURES
         assert sig["timeout"] == defaults.CLIENT_TIMEOUT_S

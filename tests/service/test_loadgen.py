@@ -156,7 +156,7 @@ class TestRollingRestart:
         assert summary["ok"], stream.getvalue()
         assert len(summary["restarts"]) == 2
         for record in summary["restarts"]:
-            assert record["drain_ok"] and record["add_ok"], record
+            assert record["remove_ok"] and record["add_ok"], record
         background = summary["background"]
         assert background["ok"] >= 1, background
         assert background["errors"] == 0 and background["unanswered"] == 0

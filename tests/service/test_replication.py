@@ -111,7 +111,7 @@ def _service_at(servers, name):
 
 
 # ----------------------------------------------------------------------------
-# The cache wire ops (cache-get / cache-put / cache-keys, warm_only)
+# The cache wire ops (cache-get / cache-put, warm_only)
 # ----------------------------------------------------------------------------
 
 
@@ -209,21 +209,6 @@ class TestCacheOps:
             assert server.service.cache.stats()["entries"] == 0
         finally:
             _stop_backend(server)
-
-    def test_cache_keys_lists_affinity(self, trio):
-        router, servers = trio
-        request = _compile_request(SOURCES[0])
-        cold = router.handle(dict(request))
-        assert cold["ok"]
-        service = _service_at(servers, cold["backend"])
-        listing = service.submit({"op": "cache-keys"})
-        assert listing["ok"]
-        keys = {item["key"]: item for item in listing["keys"]}
-        assert cold["key"] in keys
-        # The router stamped its affinity into the artifact meta — the
-        # drain path re-places artifacts by it.
-        assert keys[cold["key"]]["affinity"] == affinity_key(request)
-        assert keys[cold["key"]]["bytes"] > 0
 
     def test_warm_only_probe(self):
         server, _ = _start_backend()
@@ -384,7 +369,7 @@ class TestReplication:
 
 
 # ----------------------------------------------------------------------------
-# Live membership: add / remove / drain, generation fencing, ownership
+# Live membership: add / remove, generation fencing, ownership
 # ----------------------------------------------------------------------------
 
 
@@ -427,19 +412,34 @@ class TestMembership:
             response = router.handle(_compile_request(source, f"t{i}"))
             assert response["ok"] and response["backend"] != victim
 
-    def test_last_backend_cannot_be_removed_or_drained(self):
+    def test_last_backend_cannot_be_removed(self):
         server, _ = _start_backend()
         router = _make_router([server], replication=2)
         try:
             name = list(router.backends)[0]
-            for op in ("backend-remove", "backend-drain"):
-                refused = router.handle({"op": op, "backend": name})
-                assert not refused["ok"]
-                assert refused["error"]["kind"] == "request"
-                assert "last" in refused["error"]["message"]
+            refused = router.handle({"op": "backend-remove", "backend": name})
+            assert not refused["ok"]
+            assert refused["error"]["kind"] == "request"
+            assert "last" in refused["error"]["message"]
+            assert name in router.backends
         finally:
             router.stop()
             _stop_backend(server)
+
+    def test_deleted_ops_are_typed_request_errors(self, trio):
+        router, servers = trio
+        name = list(router.backends)[0]
+        refused = router.handle({"op": "backend-drain", "backend": name})
+        assert not refused["ok"]
+        assert refused["error"]["kind"] == "request"
+        assert name in router.backends
+        # Over the wire the backend answers too, and the connection
+        # stays usable afterwards.
+        with ServiceClient("127.0.0.1", servers[0].server_address[1]) as client:
+            listing = client.request({"op": "cache-keys"})
+            assert not listing["ok"]
+            assert listing["error"]["kind"] == "request"
+            assert client.ping()
 
     def test_generation_fencing(self, trio):
         router, _ = trio
@@ -459,25 +459,38 @@ class TestMembership:
         )
         assert fenced["ok"]
 
-    def test_drain_streams_warm_artifacts_to_new_owners(self, trio):
+    def test_removed_backend_keys_stay_warm_by_read_repair(self, trio):
         router, servers = trio
         baseline = {}
         for i, source in enumerate(SOURCES):
             response = router.handle(_compile_request(source, f"t{i}"))
             assert response["ok"]
             baseline[source] = response["image_sha256"]
-        victim = list(router.backends)[2]
-        drained = router.handle({"op": "backend-drain", "backend": victim})
-        assert drained["ok"], drained
-        assert drained["stream_failed"] == 0
+        # The victim is the ring primary of SOURCES[0], so after it
+        # comes back that key is routed to it first.
+        tracked = _compile_request(SOURCES[0], "t0")
+        victim = router.ring.primary(affinity_key(tracked))
+        removed = router.handle({"op": "backend-remove", "backend": victim})
+        assert removed["ok"], removed
         assert victim not in router.backends
-        # Every previously-warm key still answers warm, byte-identical,
-        # without the drained node: its arcs' artifacts were streamed.
+        # Every key was on two backends, so a survivor answers it warm.
         for i, source in enumerate(SOURCES):
             response = router.handle(_compile_request(source, f"t{i}"))
             assert response["ok"] and response["backend"] != victim
             assert response["cache"] == "hit"
             assert response["image_sha256"] == baseline[source]
+
+        # Put the victim back with an empty cache, as after a restart.
+        _service_at(servers, victim).cache.clear()
+        added = router.handle({"op": "backend-add", "backend": victim})
+        assert added["ok"] and added["healthy"] is True
+        before = router.handle({"op": "stats"})["router"]["read_repairs"]
+        again = router.handle(dict(tracked))
+        after = router.handle({"op": "stats"})["router"]["read_repairs"]
+        assert again["ok"] and again["backend"] == victim
+        assert again["cache"] == "hit"
+        assert again["image_sha256"] == baseline[SOURCES[0]]
+        assert after > before
 
     def test_stats_report_ownership_shares(self, trio):
         router, _ = trio
@@ -490,7 +503,8 @@ class TestMembership:
         }
         assert len(shares) == 3
         total_vnodes = sum(ring["vnodes"] for ring in shares.values())
-        assert total_vnodes == router.vnodes * 3
+        assert total_vnodes == defaults.ROUTER_VNODES * 3
+        assert stats["router"]["vnodes"] == defaults.ROUTER_VNODES
         total_fraction = sum(
             ring["keyspace_fraction"] for ring in shares.values()
         )
@@ -604,9 +618,11 @@ class TestAdminCli:
     def test_parser_verbs_and_fencing_flag(self):
         parser = build_admin_parser()
         args = parser.parse_args(
-            ["--expect-generation", "4", "drain", "127.0.0.1:9400"]
+            ["--expect-generation", "4", "remove", "127.0.0.1:9400"]
         )
-        assert args.command == "drain"
+        assert args.command == "remove"
         assert args.backend == "127.0.0.1:9400"
         assert args.expect_generation == 4
         assert parser.parse_args(["generation"]).command == "generation"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["drain", "127.0.0.1:9400"])
