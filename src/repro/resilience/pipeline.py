@@ -28,6 +28,7 @@ harness and the service worker walk it down the fallback ladder
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..frontend import analyze, parse
@@ -40,7 +41,6 @@ from ..ir.spillcheck import check_spill_discipline
 from ..ir.validate import check_allocated, check_assignment, check_wellformed
 from ..pdg.graph import PDGFunction
 from ..pdg.validate import check_pdg
-from .config import PipelineConfig
 from .errors import MiscompileError, StageContext, StageError
 from .telemetry import MetricsCollector
 
@@ -73,6 +73,39 @@ def _allocator_registry() -> Dict[str, Callable[..., Any]]:
         "linearscan": allocate_linearscan,
         "spillall": allocate_spillall,
     }
+
+
+@dataclass
+class PipelineConfig:
+    """Knobs of one pipeline instance.
+
+    ``max_cycles`` is the execute-stage cycle budget.  The validate
+    stage always runs; the ``verify_*`` switches exist so tests can
+    prove a given corruption is caught by a given check — production
+    callers leave them all on.
+    """
+
+    granularity: str = "statement"
+    max_cycles: int = 50_000_000
+    verify_spill_discipline: bool = True
+    verify_assignment: bool = True
+    #: independent transformation validators (see
+    #: :mod:`repro.resilience.validators`): recheck RAP's spill-code
+    #: motion and Figure-6 peephole from scratch after every allocation.
+    verify_motion: bool = True
+    verify_peephole: bool = True
+    #: the three SSA validators (construction, destruction, chordal
+    #: coloring) run against the ``ssaspill`` allocator's certificate.
+    verify_ssa: bool = True
+    #: run the list scheduler as its own pipeline stage after validate,
+    #: and (when ``verify_schedule``) prove the emitted order is a
+    #: topological order of an independently re-derived dependence DAG.
+    schedule: bool = False
+    verify_schedule: bool = True
+    #: ``False`` re-raises front-end errors unwrapped (the legacy
+    #: :func:`repro.compiler.compile_source` contract: callers get
+    #: :class:`~repro.frontend.errors.FrontendError` with a location).
+    wrap_frontend_errors: bool = True
 
 
 def _drop_validation_data(result: Any) -> None:

@@ -7,10 +7,9 @@ instead — and, with the router, N of them behind one address:
 
 * :mod:`repro.service.cache` — a content-addressed artifact store.
   Results are keyed on ``sha256(source ‖ allocator ‖ k ‖ schedule ‖
-  pipeline-config ‖ code-fingerprint)``, held in one LRU under a byte
-  budget, and optionally persisted to disk, so a repeat request skips
-  parse -> sema -> pdg-build -> allocate entirely.  Misses are classified by the key component that changed
-  (source vs config vs code churn) for the ``stats`` op.
+  execute [‖ entry ‖ max_cycles] ‖ code-fingerprint)``, held in one LRU
+  under a byte budget, and optionally persisted to disk, so a repeat
+  request skips parse -> sema -> pdg-build -> allocate entirely.
 * :mod:`repro.service.server` — a JSON-over-TCP server (stdlib only)
   whose workers reuse the resilient
   :class:`~repro.resilience.pipeline.PassPipeline` and the allocator
@@ -53,7 +52,7 @@ from .. import _lazy_exports
 # Each process imports only the modules its role runs: the router never
 # loads the server, and only a worker child loads the compiler.
 _EXPORTS = {
-    ".cache": ("ArtifactCache", "cache_key", "key_components", "source_fingerprint"),
+    ".cache": ("ArtifactCache", "cache_key", "source_fingerprint"),
     ".client": ("ServiceClient", "ServiceError", "connect_with_retry"),
     ".router": ("HashRing", "RouterService", "router_main"),
     ".server": ("CompileService", "serve"),

@@ -1,21 +1,25 @@
 """Content-addressed artifact cache for the compile service.
 
-A cache *key* is the sha256 of everything that determines an allocation
-result: the source text, the allocator name, the register count, the
-schedule flag, the pipeline configuration, the wire-format version
+A cache *key* is the sha256 of everything that determines a cached
+answer: the source text, the allocator name, the register count, the
+schedule flag, whether the program is executed (and, when it is, the
+entry function and the cycle budget), the wire-format version
 (:data:`repro.interp.serialize.FORMAT_VERSION`), and a fingerprint of
 the compiler's *own source code* (:func:`source_fingerprint`).  Two
-requests with equal keys are guaranteed the same artifact bytes, so the
-server can answer the second one without running a single compiler
-stage — and, because the programs here take no runtime input, the
-cached execution output is equally reusable.
+requests with equal keys are guaranteed the same artifact bytes and the
+same execution result, so the server can answer the second one without
+running a single compiler stage — the programs here take no runtime
+input.
 
 The code fingerprint closes the stale-artifact hole for long-lived
 deployments: the disk tier survives restarts, so without it a change
 inside an allocator would silently reuse artifacts produced by the old
 code.  Any edit to a ``.py`` file under ``src/repro`` changes every
 key, which simply makes the persisted tier cold — the same degradation
-semantics as a ``FORMAT_VERSION`` bump.
+semantics as a ``FORMAT_VERSION`` bump.  The pipeline's configuration
+is not a separate key input: the daemon always runs the default
+:class:`~repro.resilience.pipeline.PipelineConfig`, whose defaults are
+source code the fingerprint already covers.
 
 The memory tier
 ---------------
@@ -36,36 +40,6 @@ again to promote the entry, so a warm hit never waits on the disk.
 Persisted payloads from an older wire format are ignored: a version
 bump simply makes the disk tier cold.
 
-Miss observability
-------------------
-
-A miss rate alone cannot tell an operator *why* the cache is cold: a
-fresh deploy (code-fingerprint churn), a config flip (pipeline-config
-churn), and a genuinely new workload (source churn) all look identical.
-When callers pass the key's *components* (:func:`key_components`) along
-with the key, every miss is classified against what this cache has seen
-before:
-
-* ``code`` — the same (source, allocator, k, schedule, config) was
-  cached under a **different code fingerprint**: a deploy made the
-  tier cold, recompiles will warm it back;
-* ``config`` — the same request was cached under a **different
-  pipeline config**: someone flipped a verification switch or the
-  granularity;
-* ``source`` — this (source, parameters) combination has never been
-  seen: workload churn, the miss is honest;
-* ``corrupt`` — a disk-tier file for this key existed but failed its
-  checksum (bit flip, truncation, torn write survived by the
-  filesystem): the store healed itself by treating it as a miss, but
-  the operator should know the disk is eating artifacts;
-* ``unclassified`` — the caller did not supply components.
-
-The breakdown is reported by :meth:`ArtifactCache.stats` under
-``miss_kinds`` and surfaced by the server's ``stats`` op — see
-docs/OPERATIONS.md for how to read it.  Classification state is
-per-process (a restarted daemon starts with an empty history), which is
-exactly the horizon an operator watching a live daemon cares about.
-
 Disk-tier integrity
 -------------------
 
@@ -74,8 +48,8 @@ Every persisted file carries a sha256 of its payload in the header
 base64 of the deflated blob), folded in at write time.  A read
 recomputes and compares: a mismatch, a file that no longer parses, or
 an image that is not base64 of a deflate stream inflating within
-:data:`~repro.service.defaults.CACHE_BYTES` is a **classified
-``corrupt`` miss**, never a crash and never an ``unclassified`` one.
+:data:`~repro.service.defaults.CACHE_BYTES` is a miss counted under
+``corrupt`` in :meth:`ArtifactCache.stats`, never a crash.
 A cache constructed over a persist directory also runs a **startup
 scrub**: every ``*.json`` file is verified once, corrupt files are
 deleted (the replication layer above re-supplies them; a corrupt file
@@ -95,11 +69,10 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..interp.serialize import FORMAT_VERSION, inflate_image
-from ..resilience.config import PipelineConfig
 from . import defaults
 
 #: Default in-memory budget: generous for this repository's programs
@@ -139,17 +112,6 @@ def source_fingerprint(root: Optional[str] = None) -> str:
     if root is None:
         _SOURCE_FINGERPRINT = digest
     return digest
-
-
-def config_fingerprint(config: Optional[PipelineConfig]) -> Dict[str, Any]:
-    """The pipeline-config portion of a cache key, as plain data.
-
-    Every :class:`PipelineConfig` field participates: flipping any
-    verification switch, the granularity, or the cycle budget must
-    produce a different key (a cached artifact proven under different
-    obligations is a different artifact).
-    """
-    return asdict(config or PipelineConfig())
 
 
 def _digest(payload: Any) -> str:
@@ -201,61 +163,40 @@ def _identity(status: os.stat_result) -> Tuple[int, int]:
     return status.st_ino, status.st_mtime_ns
 
 
-def key_components(
-    source: str,
-    allocator: str,
-    k: int,
-    schedule: bool = False,
-    config: Optional[PipelineConfig] = None,
-    code_fingerprint: Optional[str] = None,
-) -> Dict[str, str]:
-    """The cache key's inputs, each digested separately.
-
-    Passed alongside the key to :meth:`ArtifactCache.get` so a miss can
-    be attributed to the component that actually changed (source vs
-    config vs code churn) instead of counting as an opaque miss.
-    ``params`` folds together the request shape that is neither source
-    nor config: allocator, k, schedule, and the wire-format version.
-    """
-    return {
-        "source": _digest(source),
-        "params": _digest(
-            {
-                "format": FORMAT_VERSION,
-                "allocator": allocator,
-                "k": k,
-                "schedule": bool(schedule),
-            }
-        ),
-        "config": _digest(config_fingerprint(config)),
-        "code": code_fingerprint or source_fingerprint(),
-    }
-
-
 def cache_key(
     source: str,
     allocator: str,
     k: int,
     schedule: bool = False,
-    config: Optional[PipelineConfig] = None,
+    execute: bool = True,
+    entry: str = "main",
+    max_cycles: Optional[int] = None,
     code_fingerprint: Optional[str] = None,
 ) -> str:
-    """``sha256(source ‖ allocator ‖ k ‖ schedule ‖ pipeline-config ‖
-    code-fingerprint)``.
+    """``sha256(source ‖ allocator ‖ k ‖ schedule ‖ execute [‖ entry ‖
+    max_cycles] ‖ code-fingerprint)``.
 
+    The defaults are a ``compile`` request's.  ``entry`` and
+    ``max_cycles`` take part only when ``execute`` is set: a compile
+    that runs nothing caches no output.  ``max_cycles`` is keyed as the
+    request gives it, so an omitted budget and an explicit default one
+    are two keys (a spurious miss, never a wrong answer).
     ``code_fingerprint`` defaults to :func:`source_fingerprint` of the
     running package; tests pass an explicit value to simulate a code
     version bump without editing files.
     """
-    payload = {
+    payload: Dict[str, Any] = {
         "format": FORMAT_VERSION,
         "source": source,
         "allocator": allocator,
         "k": k,
         "schedule": bool(schedule),
-        "config": config_fingerprint(config),
+        "execute": bool(execute),
         "code": code_fingerprint or source_fingerprint(),
     }
+    if execute:
+        payload["entry"] = entry
+        payload["max_cycles"] = max_cycles
     return _digest(payload)
 
 
@@ -287,8 +228,7 @@ class CacheEntry:
 
 class ArtifactCache:
     """Thread-safe content-addressed store: one LRU memory tier over
-    ``max_bytes`` under one lock, an optional disk tier, and
-    per-component miss classification."""
+    ``max_bytes`` under one lock and an optional disk tier."""
 
     def __init__(
         self,
@@ -301,8 +241,7 @@ class ArtifactCache:
         self.persist_dir = persist_dir
         if persist_dir:
             os.makedirs(persist_dir, exist_ok=True)
-        #: Guards the LRU, the counters and the miss-classification
-        #: history; never held across disk I/O.
+        #: Guards the LRU and the counters; never held across disk I/O.
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.total_bytes = 0
@@ -311,31 +250,18 @@ class ArtifactCache:
         self.evictions = 0
         self.disk_hits = 0
         self.corrupt = 0
-        self._code_by_ident: Dict[str, str] = {}
-        self._config_by_ident: Dict[str, str] = {}
-        self._miss_kinds = {
-            "source": 0,
-            "config": 0,
-            "code": 0,
-            "corrupt": 0,
-            "unclassified": 0,
-        }
         self._scrub = self.scrub() if persist_dir else None
 
     # -- lookup ---------------------------------------------------------------
 
-    def get(
-        self, key: str, components: Optional[Dict[str, str]] = None
-    ) -> Optional[CacheEntry]:
+    def get(self, key: str) -> Optional[CacheEntry]:
         """The entry for ``key``, or None (a miss).
 
         A memory hit refreshes the LRU recency.  On a memory miss the
         disk tier (when configured) is consulted; a disk hit is promoted
         back into memory — possibly evicting colder entries — and
-        counted as both a hit and a ``disk_hit``.  ``components`` (from
-        :func:`key_components`) lets a miss be classified by the input
-        that changed; a disk file that failed its checksum classifies as
-        ``corrupt`` regardless.
+        counted as both a hit and a ``disk_hit``; a disk file that fails
+        its checksum is a miss that also counts ``corrupt``.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -343,19 +269,13 @@ class ArtifactCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry
-        entry, cause = self._promote_from_disk(key)
+        entry = self._promote_from_disk(key)
         with self._lock:
             if entry is not None:
                 self.hits += 1
                 self.disk_hits += 1
                 return entry
             self.misses += 1
-            kind = (
-                "corrupt"
-                if cause == "corrupt"
-                else self._classify_miss(components)
-            )
-            self._miss_kinds[kind] += 1
         return None
 
     def peek(self, key: str) -> Optional[CacheEntry]:
@@ -374,12 +294,10 @@ class ArtifactCache:
         into memory (a replica asked for it; it is hot somewhere)."""
         entry = self.peek(key)
         if entry is None:
-            entry, _ = self._promote_from_disk(key)
+            entry = self._promote_from_disk(key)
         return entry
 
-    def _promote_from_disk(
-        self, key: str
-    ) -> Tuple[Optional[CacheEntry], Optional[str]]:
+    def _promote_from_disk(self, key: str) -> Optional[CacheEntry]:
         """Read ``key``'s disk file outside the lock, then promote a
         good entry into memory or count a corrupt file."""
         entry, cause = self._load_persisted(key)
@@ -388,30 +306,21 @@ class ArtifactCache:
                 self._insert(entry)
             elif cause == "corrupt":
                 self.corrupt += 1
-        return entry, cause
+        return entry
 
     # -- insertion ------------------------------------------------------------
 
-    def put(
-        self,
-        key: str,
-        blob: bytes,
-        meta: Dict[str, Any],
-        components: Optional[Dict[str, str]] = None,
-    ) -> CacheEntry:
+    def put(self, key: str, blob: bytes, meta: Dict[str, Any]) -> CacheEntry:
         """Store an artifact; returns the (frozen) entry.
 
         Re-putting an existing key replaces the entry (last write wins —
         identical by construction, since the key covers every input).
         An entry larger than ``max_bytes`` is persisted to disk but not
-        held in memory.  ``components`` feed the miss-classification
-        history so later misses can be attributed.
+        held in memory.
         """
         entry = CacheEntry(key, bytes(blob), dict(meta))
         self._persist(entry)
         with self._lock:
-            if components is not None:
-                self._record_components(components)
             if entry.size > self.max_bytes:
                 old = self._entries.pop(key, None)
                 if old is not None:
@@ -480,8 +389,7 @@ class ArtifactCache:
                 document = json.load(handle)
             except (OSError, ValueError):
                 # Truncated or bit-flipped beyond parsing: corrupt, and
-                # the store must say so — never a crash, never
-                # "unclassified".
+                # the store must say so — never a crash.
                 document = None
         blob, cause = verify_document(document)
         if cause == "corrupt":
@@ -493,37 +401,6 @@ class ArtifactCache:
         if blob is None:
             return None, cause
         return CacheEntry(key, blob, document["meta"]), None
-
-    # -- miss classification --------------------------------------------------
-
-    @staticmethod
-    def _idents(components: Dict[str, str]) -> Any:
-        base = components["source"] + "\0" + components["params"]
-        return (
-            base + "\0" + components["config"],  # identity sans code
-            base + "\0" + components["code"],  # identity sans config
-        )
-
-    def _record_components(self, components: Dict[str, str]) -> None:
-        """Remember the request's code and config digests.  Call under
-        ``_lock``."""
-        ident_sans_code, ident_sans_config = self._idents(components)
-        self._code_by_ident[ident_sans_code] = components["code"]
-        self._config_by_ident[ident_sans_config] = components["config"]
-
-    def _classify_miss(self, components: Optional[Dict[str, str]]) -> str:
-        """Which key component changed since this request was last
-        cached.  Call under ``_lock``."""
-        if components is None:
-            return "unclassified"
-        ident_sans_code, ident_sans_config = self._idents(components)
-        known_code = self._code_by_ident.get(ident_sans_code)
-        if known_code is not None and known_code != components["code"]:
-            return "code"
-        known_config = self._config_by_ident.get(ident_sans_config)
-        if known_config is not None and known_config != components["config"]:
-            return "config"
-        return "source"
 
     # -- the startup scrub ----------------------------------------------------
 
@@ -562,10 +439,6 @@ class ArtifactCache:
 
     # -- accounting -----------------------------------------------------------
 
-    def miss_kinds(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._miss_kinds)
-
     def keys(self) -> List[str]:
         """Every key currently held in memory."""
         with self._lock:
@@ -592,7 +465,6 @@ class ArtifactCache:
                 "evictions": self.evictions,
                 "corrupt": self.corrupt,
                 "max_bytes": self.max_bytes,
-                "miss_kinds": dict(self._miss_kinds),
             }
         stats["code_fingerprint"] = source_fingerprint()
         stats["hit_rate"] = hits / (hits + misses) if (hits + misses) else 0.0

@@ -22,9 +22,10 @@ keys shardable across daemons at all.
 
 The routing hash covers ``(source, allocator, k, schedule)`` — the
 request identity, not the full artifact key.  The backend derives the
-artifact key itself (folding in deadline-driven rung demotion, pipeline
-config, and its code fingerprint); the router only needs *affinity*:
-repeats of a request reach a backend that already holds its artifact.
+artifact key itself (folding in deadline-driven rung demotion, the
+execution fields, and its code fingerprint); the router only needs
+*affinity*: repeats of a request reach a backend that already holds its
+artifact.
 
 With replication ``R = 1`` that is the ring primary, always.  With
 ``R > 1`` every member of a key's replica set holds the artifact (see
@@ -796,9 +797,8 @@ class RouterService:
         backends: List[Dict[str, Any]] = []
         cache_totals = {
             "entries": 0, "bytes": 0, "hits": 0, "misses": 0,
-            "disk_hits": 0, "evictions": 0,
+            "disk_hits": 0, "evictions": 0, "corrupt": 0,
         }
-        miss_kinds: Dict[str, int] = {}
         for name in sorted(roster):
             backend = roster[name]
             snap = backend.snapshot()
@@ -813,8 +813,6 @@ class RouterService:
                 cache = live.get("cache", {})
                 for field in cache_totals:
                     cache_totals[field] += cache.get(field, 0)
-                for kind, count in cache.get("miss_kinds", {}).items():
-                    miss_kinds[kind] = miss_kinds.get(kind, 0) + count
             backends.append(snap)
         with self._counter_lock:
             router = {
@@ -837,7 +835,6 @@ class RouterService:
             "backends": backends,
             "cache": {
                 **cache_totals,
-                "miss_kinds": miss_kinds,
                 "hit_rate": cache_totals["hits"] / lookups if lookups else 0.0,
             },
         }

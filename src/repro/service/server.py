@@ -9,7 +9,12 @@ hold open for many requests.  Operations:
     and return the artifact summary.  Optional fields: ``schedule``
     (run the validated list-scheduler stage), ``execute`` (default
     true), ``entry`` (default ``"main"``), ``max_cycles``,
-    ``deadline_ms`` (admission + rung policy, below).
+    ``deadline_ms`` (admission + rung policy, below).  A repeat is
+    answered from the artifact cache, whose key
+    (:func:`repro.service.cache.cache_key`) covers every field the
+    answer depends on: the source, the starting rung, ``k``,
+    ``schedule``, ``execute`` and, for an executed compile, ``entry``
+    and ``max_cycles``.  ``filename`` labels diagnostics only.
 ``{"op": "stats"}``
     Cache counters, the server-lifetime per-stage telemetry aggregate
     (:class:`~repro.resilience.telemetry.MetricsCollector`), the
@@ -109,11 +114,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..interp.serialize import dumps_image, image_sha256
-from ..resilience.config import PipelineConfig
 from ..resilience.fallback import FALLBACK_CHAIN, walk_ladder
 from ..resilience.telemetry import MetricsCollector
 from . import defaults
-from .cache import ArtifactCache, cache_key, key_components
+from .cache import ArtifactCache, cache_key
 from .client import JsonLinesServer, _error_payload, run_daemon
 
 if TYPE_CHECKING:  # pragma: no cover - loaded only where compiles run
@@ -258,7 +262,6 @@ class PreparedJob:
     """
 
     key: str
-    components: Dict[str, str]
     rung: str
     rung_reason: str
     source: str
@@ -353,7 +356,6 @@ class CompileService:
 
     def __init__(
         self,
-        config: Optional[PipelineConfig] = None,
         cache: Optional[ArtifactCache] = None,
         workers: Optional[int] = None,
         queue_limit: int = defaults.QUEUE_LIMIT,
@@ -369,7 +371,6 @@ class CompileService:
         if queue_limit < 1:
             # A zero-slot queue refuses every compile as "queue full".
             raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
-        self.config = config or PipelineConfig()
         # `cache or ...` would discard a provided cache: an *empty*
         # ArtifactCache is falsy (it has __len__).
         self.cache = cache if cache is not None else ArtifactCache()
@@ -718,8 +719,11 @@ class CompileService:
             rung = "linearscan"
             rung_reason += " [degraded: demoted to linearscan]"
 
-        key = cache_key(source, rung, k, schedule, self.config)
-        components = key_components(source, rung, k, schedule, self.config)
+        entry_name = request.get("entry", "main")
+        max_cycles = request.get("max_cycles")
+        key = cache_key(
+            source, rung, k, schedule, execute, entry_name, max_cycles
+        )
         quarantine_reason = self._quarantined.get(key)
         if quarantine_reason is not None:
             return (
@@ -743,7 +747,7 @@ class CompileService:
         if isinstance(probed, str) and probed == key:
             entry = self.cache.fetch(key)
         else:
-            entry = self.cache.get(key, components=components)
+            entry = self.cache.get(key)
         if entry is not None:
             response = dict(entry.meta)
             response.update(
@@ -751,6 +755,7 @@ class CompileService:
                     "ok": True,
                     "key": key,
                     "cache": "hit",
+                    "allocator_requested": allocator,
                     "rung_start": rung,
                     "rung_reason": rung_reason,
                     "stages_run": [],
@@ -761,8 +766,8 @@ class CompileService:
         if request.get("warm_only"):
             # A replication probe: the router wants the warm answer or
             # the computed key (to read-repair from a replica) — never a
-            # compile.  The miss above was already counted and
-            # classified like any other.
+            # compile.  The miss above was already counted like any
+            # other.
             return (
                 {
                     "ok": False,
@@ -781,15 +786,14 @@ class CompileService:
         chaos = request.get("chaos")
         return None, PreparedJob(
             key=key,
-            components=components,
             rung=rung,
             rung_reason=rung_reason,
             source=source,
             k=k,
             schedule=schedule,
             execute=execute,
-            entry=request.get("entry", "main"),
-            max_cycles=request.get("max_cycles"),
+            entry=entry_name,
+            max_cycles=max_cycles,
             filename=request.get("filename", "<request>"),
             allocator_requested=allocator,
             chaos=chaos if isinstance(chaos, str) else None,
@@ -810,9 +814,7 @@ class CompileService:
         blob = meta.pop("_blob")
         if telemetry is not None:
             meta["telemetry"] = telemetry
-        self.cache.put(
-            prepared.key, blob, meta, components=prepared.components
-        )
+        self.cache.put(prepared.key, blob, meta)
         response = dict(meta)
         response.update(
             {

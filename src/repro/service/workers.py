@@ -64,7 +64,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, TYPE_CHECKING
 
-from ..resilience.config import PipelineConfig
 from ..resilience.errors import StageError
 from ..resilience.telemetry import MetricsCollector
 from . import defaults
@@ -157,9 +156,7 @@ def _close_inherited_sockets(keep: int) -> None:
             pass
 
 
-def _worker_child_main(
-    conn, config: PipelineConfig, chaos_enabled: bool
-) -> None:
+def _worker_child_main(conn, chaos_enabled: bool) -> None:
     """Child body: receive job specs, compile cold, send results.
 
     Runs until the parent sends ``None`` (graceful shutdown), the pipe
@@ -183,7 +180,7 @@ def _worker_child_main(
     from ..resilience.pipeline import PassPipeline
     from .server import compile_cold
 
-    pipeline = PassPipeline(config)
+    pipeline = PassPipeline()
     while True:
         try:
             spec = conn.recv()
@@ -284,7 +281,7 @@ class _WorkerSlot:
         parent_conn, child_conn = self.supervisor.ctx.Pipe(duplex=True)
         process = self.supervisor.ctx.Process(
             target=_worker_child_main,
-            args=(child_conn, service.config, service.chaos_enabled),
+            args=(child_conn, service.chaos_enabled),
             name=f"compile-worker-proc-{self.index}",
             daemon=True,
         )

@@ -1,5 +1,5 @@
 """The content-addressed artifact cache: keys, LRU accounting, disk tier,
-miss-kind classification, and the 8-thread hammer."""
+integrity, and the 8-thread hammer."""
 
 import base64
 import hashlib
@@ -11,16 +11,15 @@ import zlib
 import pytest
 
 from repro.interp.serialize import FORMAT_VERSION
-from repro.resilience.pipeline import PipelineConfig
 from repro.service import cache as cache_module
 from repro.service import defaults
 from repro.service.cache import (
     ArtifactCache,
     CacheEntry,
     cache_key,
-    key_components,
     source_fingerprint,
 )
+from repro.service.server import CompileService
 
 SOURCE = "void main() { print(1); }"
 
@@ -58,18 +57,27 @@ class TestCacheKey:
         assert cache_key(SOURCE, "gra", 5) != base
         assert cache_key(SOURCE, "rap", 7) != base
         assert cache_key(SOURCE, "rap", 5, schedule=True) != base
+        # What an executed compile's cached answer depends on: whether
+        # it ran, which function, and under which cycle budget.
+        assert cache_key(SOURCE, "rap", 5, execute=False) != base
+        assert cache_key(SOURCE, "rap", 5, entry="f") != base
+        assert cache_key(SOURCE, "rap", 5, max_cycles=1) != base
+        # A compile that runs nothing keys on neither.
+        assert cache_key(
+            SOURCE, "rap", 5, execute=False, entry="f", max_cycles=1
+        ) == cache_key(SOURCE, "rap", 5, execute=False)
 
-    def test_pipeline_config_participates(self):
-        base = cache_key(SOURCE, "rap", 5)
-        loose = cache_key(
-            SOURCE, "rap", 5, config=PipelineConfig(verify_motion=False)
-        )
-        merged = cache_key(
-            SOURCE, "rap", 5, config=PipelineConfig(granularity="merged")
-        )
-        assert len({base, loose, merged}) == 3
-        # The default config and an explicit default config agree.
-        assert cache_key(SOURCE, "rap", 5, config=PipelineConfig()) == base
+    def test_served_key_ignores_filename(self):
+        # ``filename`` only labels diagnostics; a request that leaves
+        # the execution fields out keys like cache_key's defaults.
+        service = CompileService(workers=1)  # never started: no worker
+        keys = {
+            service.prepare(
+                {"source": SOURCE, "allocator": "rap", "k": 5, "filename": name}
+            )[1].key
+            for name in ("a.mc", "b.mc")
+        }
+        assert keys == {cache_key(SOURCE, "rap", 5)}
 
     def test_code_fingerprint_participates(self):
         # The compiler's own source is part of the key: a simulated
@@ -79,28 +87,6 @@ class TestCacheKey:
         assert bumped != base
         # Deterministic for a fixed fingerprint.
         assert cache_key(SOURCE, "rap", 5, code_fingerprint="deadbeef") == bumped
-
-    def test_key_components_track_their_inputs(self):
-        base = key_components(SOURCE, "rap", 5)
-        # Source churn moves only the source component.
-        other = key_components(SOURCE + " ", "rap", 5)
-        assert other["source"] != base["source"]
-        assert other["params"] == base["params"]
-        assert other["config"] == base["config"]
-        # Parameter churn moves only params.
-        other = key_components(SOURCE, "gra", 7, schedule=True)
-        assert other["source"] == base["source"]
-        assert other["params"] != base["params"]
-        # Config churn moves only config.
-        other = key_components(
-            SOURCE, "rap", 5, config=PipelineConfig(verify_motion=False)
-        )
-        assert other["config"] != base["config"]
-        assert other["source"] == base["source"]
-        # Code churn moves only code.
-        other = key_components(SOURCE, "rap", 5, code_fingerprint="deadbeef")
-        assert other["code"] != base["code"]
-        assert other["source"] == base["source"]
 
 
 class TestSourceFingerprint:
@@ -321,9 +307,8 @@ class TestIntegrity:
         self._flip_one_byte(path)
         assert cache.get(_hexkey("k1")) is None
         stats = cache.stats()
-        assert stats["miss_kinds"]["corrupt"] == 1
-        assert stats["miss_kinds"]["unclassified"] == 0
         assert stats["corrupt"] == 1
+        assert stats["misses"] == 1
 
     def test_read_deletes_a_corrupt_file_and_counts_it_once(self, tmp_path):
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
@@ -335,7 +320,6 @@ class TestIntegrity:
             assert cache.get(_hexkey("k1")) is None
         stats = cache.stats()
         assert stats["corrupt"] == 1
-        assert stats["miss_kinds"]["corrupt"] == 1
         assert stats["misses"] == 3
         assert not os.path.exists(path)
 
@@ -401,7 +385,7 @@ class TestIntegrity:
         ) as handle:
             json.dump({"meta": {}, "image": body}, handle)
         assert cache.get(_hexkey("k9")) is None
-        assert cache.stats()["miss_kinds"]["corrupt"] == 0
+        assert cache.stats()["corrupt"] == 0
 
     @pytest.mark.parametrize(
         "image",
@@ -422,8 +406,8 @@ class TestIntegrity:
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         _write_document(path, image)
         assert cache.get(_hexkey("k1")) is None
-        assert cache.stats()["miss_kinds"]["corrupt"] == 1
         assert cache.stats()["corrupt"] == 1
+        assert cache.stats()["misses"] == 1
         assert not os.path.exists(path)  # the read deleted it
         _write_document(path, image)
         scrubbed = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
@@ -442,7 +426,7 @@ class TestIntegrity:
             "scanned": 1, "ok": 0, "stale": 1, "corrupt": 0,
         }
         assert cache.get(_hexkey("k1")) is None
-        assert cache.stats()["miss_kinds"]["corrupt"] == 0
+        assert cache.stats()["corrupt"] == 0
         assert os.path.exists(path)
 
     def test_older_version_in_the_stored_encoding_is_stale(self, tmp_path):
@@ -452,7 +436,7 @@ class TestIntegrity:
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         assert cache.stats()["scrub"]["stale"] == 1
         assert cache.get(_hexkey("k1")) is None
-        assert cache.stats()["miss_kinds"]["corrupt"] == 0
+        assert cache.stats()["corrupt"] == 0
 
     def test_persisted_image_is_base64_of_the_blob(self, tmp_path):
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
@@ -468,60 +452,6 @@ class TestIntegrity:
         # Memory copy still valid: damage on disk must not poison it.
         entry = cache.get(_hexkey("k1"))
         assert entry is not None and entry.blob == _blob(_hexkey("k1"))
-
-
-class TestMissKinds:
-    """Satellite: the stats op attributes misses to the key component
-    that changed — source vs config vs code churn."""
-
-    @staticmethod
-    def _lookup(cache, source, **kwargs):
-        key = cache_key(source, "rap", 5, **kwargs)
-        comps = key_components(source, "rap", 5, **kwargs)
-        entry = cache.get(key, components=comps)
-        if entry is None:
-            cache.put(key, _blob(key[:8]), {}, components=comps)
-        return entry
-
-    def test_source_churn_is_a_source_miss(self):
-        cache = ArtifactCache(max_bytes=10_000)
-        self._lookup(cache, "void main() { print(1); }")
-        self._lookup(cache, "void main() { print(2); }")
-        assert cache.miss_kinds() == {
-            "source": 2, "config": 0, "code": 0, "corrupt": 0,
-            "unclassified": 0,
-        }
-
-    def test_code_churn_is_a_code_miss(self):
-        cache = ArtifactCache(max_bytes=10_000)
-        self._lookup(cache, SOURCE, code_fingerprint="v1")
-        self._lookup(cache, SOURCE, code_fingerprint="v2")  # deploy
-        kinds = cache.miss_kinds()
-        assert kinds["code"] == 1 and kinds["source"] == 1
-        # Warm again under the new fingerprint.
-        assert self._lookup(cache, SOURCE, code_fingerprint="v2") is not None
-
-    def test_config_churn_is_a_config_miss(self):
-        cache = ArtifactCache(max_bytes=10_000)
-        self._lookup(cache, SOURCE, config=PipelineConfig())
-        self._lookup(
-            cache, SOURCE, config=PipelineConfig(verify_motion=False)
-        )
-        kinds = cache.miss_kinds()
-        assert kinds["config"] == 1 and kinds["source"] == 1
-
-    def test_component_free_lookups_are_unclassified(self):
-        cache = ArtifactCache(max_bytes=10_000)
-        assert cache.get("absent") is None
-        assert cache.miss_kinds()["unclassified"] == 1
-
-    def test_hits_do_not_count(self):
-        cache = ArtifactCache(max_bytes=10_000)
-        self._lookup(cache, SOURCE)
-        assert self._lookup(cache, SOURCE) is not None
-        kinds = cache.miss_kinds()
-        assert sum(kinds.values()) == 1
-        assert cache.stats()["miss_kinds"] == kinds
 
 
 class TestConcurrency:
@@ -574,7 +504,6 @@ class TestConcurrency:
         gets = 2 * self.THREADS * self.ROUNDS
         assert stats["hits"] + stats["misses"] == gets
         assert stats["hits"] > 0 and stats["misses"] > 0
-        assert sum(cache.miss_kinds().values()) == stats["misses"]
         # Byte accounting is exact: the tracked total equals the sum of
         # the live entries' sizes (entry size is a pure function of the
         # key here), and the tier respects its budget.

@@ -231,8 +231,7 @@ class TestRouting:
         )
         assert stats["cache"]["hits"] == summed == 4
         assert stats["cache"]["misses"] == 4
-        assert "miss_kinds" in stats["cache"]
-        assert stats["cache"]["miss_kinds"].get("source", 0) == 4
+        assert stats["cache"]["corrupt"] == 0
 
 
 def _request(index, k=5):

@@ -153,6 +153,33 @@ class TestColdAndWarm:
         assert scheduled["cache"] == "miss"
         assert plain["output"] == scheduled["output"]
 
+    def test_cached_answer_follows_the_execution_fields(self, service):
+        # The cached meta holds the execution result, so whether the
+        # program ran, which function and under which budget are part
+        # of the key: none of these may be answered by another's entry.
+        source = "void f() { print(2); }\nvoid main() { print(1); }"
+        quiet = service.submit(compile_request(source, execute=False))
+        assert quiet["ok"] and "output" not in quiet
+        ran = service.submit(compile_request(source))
+        assert ran["cache"] == "miss" and ran["output"] == [1]
+        other_entry = service.submit(compile_request(source, entry="f"))
+        assert other_entry["cache"] == "miss" and other_entry["output"] == [2]
+        roomy = service.submit(compile_request(source, max_cycles=1_000_000))
+        assert roomy["ok"] and roomy["output"] == [1]
+        tight = service.submit(compile_request(source, max_cycles=1))
+        assert not tight["ok"]
+        assert tight["error"]["kind"] == "stage"
+        assert "cycle budget exceeded" in tight["error"]["message"]
+
+    def test_cache_hit_echoes_the_requested_allocator(self, service):
+        # A tight deadline and an explicit linearscan request start at
+        # the same rung, so the second is a hit on the first's entry.
+        demoted = service.submit(compile_request(deadline_ms=100))
+        assert demoted["allocator_requested"] == "rap"
+        direct = service.submit(compile_request(allocator="linearscan"))
+        assert direct["cache"] == "hit" and direct["key"] == demoted["key"]
+        assert direct["allocator_requested"] == "linearscan"
+
     def test_provided_empty_cache_is_not_discarded(self, tmp_path):
         # Regression: an empty ArtifactCache is falsy (__len__ == 0), so
         # `cache or ArtifactCache()` silently replaced it and dropped the

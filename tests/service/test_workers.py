@@ -107,14 +107,12 @@ class TestProcessColdAndWarm:
         # The reference is compile_cold run directly in this process, as
         # perfbench's compile workload runs it.  It is built before the
         # service starts, so no import is in flight when the child forks.
-        from repro.resilience.config import PipelineConfig
-        from repro.resilience.pipeline import PassPipeline
+        from repro.resilience.pipeline import PassPipeline, PipelineConfig
         from repro.service.cache import cache_key
         from repro.service.server import compile_cold
 
-        config = PipelineConfig()
         reference = compile_cold(
-            PassPipeline(config),
+            PassPipeline(PipelineConfig()),
             {
                 "source": SIEVE_LIKE,
                 "rung": "rap",
@@ -134,7 +132,7 @@ class TestProcessColdAndWarm:
             assert served["ok"] and served["cache"] == "miss"
             assert served["image_sha256"] == reference["image_sha256"]
             assert served["output"] == reference["output"]
-            assert served["key"] == cache_key(SIEVE_LIKE, "rap", 6, False, config)
+            assert served["key"] == cache_key(SIEVE_LIKE, "rap", 6)
         finally:
             service.drain(timeout=5.0)
 
