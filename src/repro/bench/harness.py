@@ -45,7 +45,7 @@ from ..interp.stats import Counters, ExecStats
 from ..ir.iloc import Instr, Op
 from ..resilience.errors import StageError
 from ..resilience.fallback import FallbackEvent, walk_ladder
-from ..resilience.pipeline import PassPipeline, PipelineConfig
+from ..resilience.pipeline import PassPipeline
 from ..resilience.telemetry import MetricsCollector, StageMetrics
 from .suite import PROGRAMS, BenchProgram
 
@@ -102,7 +102,8 @@ class ProgramRun:
 
 
 class Harness:
-    """Caches compiled programs and executes allocator comparisons.
+    """Caches compiled programs and executes allocator comparisons on
+    the default :class:`PassPipeline`.
 
     ``fallback=False`` restores fail-fast behaviour: the first stage
     failure propagates as a :class:`StageError` instead of degrading to
@@ -113,11 +114,10 @@ class Harness:
         self,
         programs: Optional[Sequence[BenchProgram]] = None,
         fallback: bool = True,
-        pipeline: Optional[PassPipeline] = None,
     ):
         self.programs = list(programs) if programs is not None else list(PROGRAMS)
         self.fallback = fallback
-        self.pipeline = pipeline or PassPipeline(PipelineConfig())
+        self.pipeline = PassPipeline()
         self._compiled: Dict[str, CompiledProgram] = {}
         self._reference_out: Dict[str, list] = {}
 

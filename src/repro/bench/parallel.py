@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from ..resilience import faults
 from ..resilience.errors import StageError
-from ..resilience.pipeline import PassPipeline, PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,14 @@ _WORKER_HARNESS = None
 
 
 def _init_worker(
-    config: PipelineConfig,
-    fallback: bool,
-    fault_specs: Tuple[faults.FaultSpec, ...],
+    fallback: bool, fault_specs: Tuple[faults.FaultSpec, ...]
 ) -> None:
     global _WORKER_HARNESS
     from .harness import Harness  # late: harness imports this module
 
     if fault_specs:
         faults.install(*fault_specs)
-    _WORKER_HARNESS = Harness(fallback=fallback, pipeline=PassPipeline(config))
+    _WORKER_HARNESS = Harness(fallback=fallback)
 
 
 def _run_cell(spec: CellSpec):
@@ -105,12 +102,11 @@ def run_cells(
     """Run every cell in a pool of ``jobs`` workers; returns
     ``{(program, allocator, k): ProgramRun}``.
 
-    ``harness`` supplies the configuration the workers replicate
-    (pipeline config and ``fallback``); its caches are
-    not shipped — each worker compiles what it needs.  If any cell's
-    ladder-escaping failure comes back, the one earliest in ``specs``
-    order is re-raised after the pool drains, mirroring a serial sweep's
-    first-failure behaviour.
+    ``harness`` supplies the ``fallback`` setting the workers
+    replicate; its caches are not shipped — each worker compiles what
+    it needs.  If any cell's ladder-escaping failure comes back, the one
+    earliest in ``specs`` order is re-raised after the pool drains,
+    mirroring a serial sweep's first-failure behaviour.
     """
     from .harness import Harness
 
@@ -124,11 +120,7 @@ def run_cells(
     with ProcessPoolExecutor(
         max_workers=max(1, jobs),
         initializer=_init_worker,
-        initargs=(
-            harness.pipeline.config,
-            harness.fallback,
-            fault_specs,
-        ),
+        initargs=(harness.fallback, fault_specs),
     ) as pool:
         for spec, run, frozen in pool.map(_run_cell, specs):
             if frozen is not None:

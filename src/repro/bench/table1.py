@@ -135,7 +135,9 @@ def render_schedule_footer(runs: List[ProgramRun], stream=None) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    # ``repro table1`` hands its argv here unparsed, so usage lines name
+    # that command rather than the interpreter's ``__main__.py``.
+    parser = argparse.ArgumentParser(prog="repro table1", description=__doc__)
     parser.add_argument(
         "--k",
         type=int,

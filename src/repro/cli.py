@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .resilience.errors import StageError
 from .resilience.telemetry import MetricsCollector, render_profile
@@ -86,15 +86,13 @@ def cmd_run(args) -> int:
     specs = [faults.FaultSpec(point) for point in args.inject or []]
     collector = MetricsCollector() if args.profile else None
     pipeline = None
-    if collector is not None or args.schedule:
+    if collector is not None:
         # Same error policy as the default path (front-end errors surface
         # unwrapped, machine faults stay machine faults) — the collector
-        # and the optional schedule stage are the only differences.
+        # is the only difference.
         pipeline = PassPipeline(
             PipelineConfig(
-                granularity=args.granularity,
-                wrap_frontend_errors=False,
-                schedule=args.schedule,
+                granularity=args.granularity, wrap_frontend_errors=False
             ),
             metrics=collector,
             filename=args.file,
@@ -114,7 +112,11 @@ def cmd_run(args) -> int:
             label = "reference (scheduled)" if args.schedule else "reference"
         else:
             image, _ = (pipeline or PassPipeline()).allocate_program(
-                prog, args.allocator, args.k, coalesce=args.coalesce
+                prog,
+                args.allocator,
+                args.k,
+                coalesce=args.coalesce,
+                schedule=args.schedule,
             )
             label = f"{args.allocator} k={args.k}"
         started = time.perf_counter()
@@ -224,23 +226,6 @@ def cmd_emit(args) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
-    from .bench.table1 import main as table1_main
-
-    forwarded: List[str] = []
-    if args.k:
-        forwarded += ["--k", *map(str, args.k)]
-    if args.programs:
-        forwarded += ["--programs", *args.programs]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.schedule:
-        forwarded += ["--schedule"]
-    for point in args.inject or []:
-        forwarded += ["--inject", point]
-    return table1_main(forwarded)
-
-
 def cmd_fuzz(args) -> int:
     from .resilience.fuzz import run_fuzz
 
@@ -260,16 +245,21 @@ def cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _service_command(name: str, rest: Sequence[str]) -> int:
-    """Dispatch ``serve``/``router``/``request``/``router-admin``/
-    ``loadgen`` to the owning module.
+def _forwarded_command(name: str, rest: Sequence[str]) -> int:
+    """Dispatch ``table1`` and ``serve``/``router``/``request``/
+    ``router-admin``/``loadgen`` to the owning module.
 
     These parsers live next to their implementations
-    (:mod:`repro.service`); the driver hands the remaining argv through
-    untouched.  Dispatch happens *before* the main argparse pass because
-    ``nargs=argparse.REMAINDER`` cannot capture a leading optional like
-    ``--port`` (bpo-17050) — the subcommands here start with optionals.
+    (:mod:`repro.bench.table1`, :mod:`repro.service`); the driver hands
+    the remaining argv through untouched.  Dispatch happens *before* the
+    main argparse pass because ``nargs=argparse.REMAINDER`` cannot
+    capture a leading optional like ``--port`` (bpo-17050) — the
+    subcommands here start with optionals.
     """
+    if name == "table1":
+        from .bench.table1 import main as table1_main
+
+        return table1_main(rest)
     if name == "serve":
         from .service.server import serve
 
@@ -309,6 +299,8 @@ def cmd_faults(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    from .interp.machine import MAX_CYCLES
+
     parser.add_argument("file", help="Mini-C source file")
     parser.add_argument(
         "--granularity",
@@ -317,7 +309,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="region granularity (default: one region per statement)",
     )
     parser.add_argument("--entry", default="main")
-    parser.add_argument("--max-cycles", type=int, default=50_000_000)
+    parser.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     parser.add_argument(
         "--coalesce",
         action="store_true",
@@ -326,8 +318,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .bench.suite import program_names
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RAP/GRA register allocation over the PDG (PLDI 1994 reproduction)",
@@ -379,33 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--data-deps", action="store_true")
     emit.set_defaults(func=cmd_emit)
 
-    table1 = sub.add_parser("table1", help="reproduce the paper's Table 1")
-    table1.add_argument("--k", type=int, nargs="*")
-    table1.add_argument(
-        "--programs", nargs="*", choices=program_names(), metavar="NAME"
-    )
-    table1.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="measure sweep cells in N worker processes (default: serial)",
-    )
-    table1.add_argument(
-        "--inject",
-        action="append",
-        metavar="POINT",
-        help="arm a fault-injection probe for the whole sweep (repeatable);"
-        " the fallback ladder keeps the table complete",
-    )
-    table1.add_argument(
-        "--schedule",
-        action="store_true",
-        help="list-schedule the RAP column and print the schedule-on/off"
-        " static-cycle delta footer",
-    )
-    table1.set_defaults(func=cmd_table1)
-
     fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing with crash triage"
     )
@@ -445,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.set_defaults(func=cmd_fuzz)
 
-    # Help-listing stubs: the service commands are dispatched before the
-    # argparse pass (see _service_command) with their own full parsers.
+    # Help-listing stubs: these commands are dispatched before the
+    # argparse pass (see _forwarded_command) with their own full parsers.
     for name, text in (
+        ("table1", "reproduce the paper's Table 1"),
         ("serve", "run the compile-as-a-service daemon"),
         ("router", "consistent-hash front end over N serve daemons"),
         ("request", "send one compile request to a daemon"),
@@ -485,9 +449,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if argv and argv[0] in (
-            "serve", "router", "request", "router-admin", "loadgen"
+            "table1", "serve", "router", "request", "router-admin", "loadgen"
         ):
-            return _service_command(argv[0], argv[1:])
+            return _forwarded_command(argv[0], argv[1:])
         return _compiler_command(argv)
     except BrokenPipeError:  # e.g. piped into `head`
         try:

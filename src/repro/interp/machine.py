@@ -51,6 +51,10 @@ Number = Union[int, float]
 INTERP_TIERS = ("slow", "compiled")
 DEFAULT_TIER = "compiled"
 
+#: The default cycle budget: a run that executes more instructions than
+#: this faults instead of looping forever.
+MAX_CYCLES = 50_000_000
+
 
 def _env_tier() -> Optional[str]:
     value = os.environ.get("REPRO_INTERP", "").strip().lower()
@@ -196,7 +200,7 @@ class Machine:
     def __init__(
         self,
         program: ProgramImage,
-        max_cycles: int = 50_000_000,
+        max_cycles: int = MAX_CYCLES,
         tracer: Optional[Tracer] = None,
         tier: Optional[str] = None,
     ):
@@ -472,7 +476,7 @@ def run_program(
     program: ProgramImage,
     entry: str = "main",
     args: Sequence[Number] = (),
-    max_cycles: int = 50_000_000,
+    max_cycles: int = MAX_CYCLES,
 ) -> ExecStats:
     """Convenience wrapper: execute and return the statistics."""
     machine = Machine(program, max_cycles=max_cycles)

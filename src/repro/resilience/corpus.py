@@ -23,7 +23,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Set
 
-from .pipeline import PassPipeline, PipelineConfig
+from .pipeline import PassPipeline
 
 #: Default committed corpus location, relative to the repository root.
 DEFAULT_CORPUS_DIR = os.path.join("tests", "corpus")
@@ -126,9 +126,7 @@ class Corpus:
         return out
 
 
-def program_features(
-    source: str, config: Optional[PipelineConfig] = None, k: int = 3
-) -> Set[str]:
+def program_features(source: str, k: int = 3) -> Set[str]:
     """Which risky paths does this program drive at register count ``k``?
 
     Runs GRA, linear-scan, SSA and RAP allocation (no execution) and reads
@@ -143,7 +141,7 @@ def program_features(
 
     features: Set[str] = set()
     try:
-        pipe = PassPipeline(config)
+        pipe = PassPipeline()
         prog = pipe.compile(source)
         for allocator in ("gra", "linearscan", "ssaspill", "rap"):
             _, results = pipe.allocate_program(prog, allocator, k)
@@ -166,7 +164,9 @@ def _error_path_features(pipe: PassPipeline, prog, k: int) -> Set[str]:
 
     Arms the matching corruption probe (``times=None`` so every
     opportunity fires), re-runs RAP allocation, and grants the feature
-    iff the validator's own error class escapes.  Any other failure —
+    iff the validator's own error class escapes (the ssaspill validators
+    run before the generic assignment recheck, so a corrupted copy
+    window reaches the destruction validator).  Any other failure —
     including a probe that found nothing to corrupt — yields nothing;
     the probes are restored to their prior plan on exit, so feature
     scanning composes with an outer fuzz run's own injection.
@@ -176,27 +176,17 @@ def _error_path_features(pipe: PassPipeline, prog, k: int) -> Set[str]:
 
     found: Set[str] = set()
     for feature, point, error_name, allocator, schedule in ERROR_AXES:
-        if schedule and not _scheduler_moves_something(pipe, prog, k):
+        if schedule and not _scheduler_moves_something(prog, k):
             # The swap probe fires in any block with a dependent adjacent
             # pair — near-universal.  Requiring a non-trivially scheduled
             # program keeps the axis discriminating: the corpus wants a
             # seed whose *real* schedule the validator defends, not any
             # straight-line print.
             continue
-        runner = pipe
-        if allocator == "ssaspill":
-            # Defense in depth means the generic assignment check catches
-            # a corrupted copy window before the destruction validator
-            # runs; the axis wants a witness for the *destruct* error
-            # path specifically, so the generic check is switched off for
-            # this probe (exactly what the verify_* switches are for).
-            runner = PassPipeline(
-                _with_overrides(pipe.config, verify_assignment=False)
-            )
         error_cls = getattr(errors, error_name)
         with faults.injected(faults.FaultSpec(point, times=None)):
             try:
-                runner.allocate_program(prog, allocator, k, schedule=schedule)
+                pipe.allocate_program(prog, allocator, k, schedule=schedule)
             except error_cls:
                 found.add(feature)
             except StageError:
@@ -204,20 +194,13 @@ def _error_path_features(pipe: PassPipeline, prog, k: int) -> Set[str]:
     return found
 
 
-def _with_overrides(config: Optional[PipelineConfig], **overrides):
-    """A copy of ``config`` (or the defaults) with fields replaced."""
-    import dataclasses
-
-    return dataclasses.replace(config or PipelineConfig(), **overrides)
-
-
-def _scheduler_moves_something(pipe: PassPipeline, prog, k: int) -> bool:
+def _scheduler_moves_something(prog, k: int) -> bool:
     """True when the list scheduler reorders at least one instruction of
     the RAP-allocated program (measured on a clean, un-probed run)."""
     from .telemetry import MetricsCollector
 
     collector = MetricsCollector()
-    probe = PassPipeline(pipe.config, metrics=collector)
+    probe = PassPipeline(metrics=collector)
     probe.allocate_program(prog, "rap", k, schedule=True)
     schedule = collector.stages.get("schedule")
     return schedule is not None and schedule.sched_moved > 0
@@ -255,7 +238,6 @@ def consider(
     size: str,
     source: str,
     features: Optional[Set[str]] = None,
-    config: Optional[PipelineConfig] = None,
 ) -> Optional[CorpusEntry]:
     """Add ``source`` to the corpus iff it covers a new feature.
 
@@ -264,7 +246,7 @@ def consider(
     :func:`save_corpus` (so a sweep batches one manifest write).
     """
     if features is None:
-        features = program_features(source, config)
+        features = program_features(source)
     fresh = features - corpus.covered()
     if not fresh:
         return None
@@ -287,7 +269,6 @@ def seed_corpus(
     directory: str = DEFAULT_CORPUS_DIR,
     seeds: Sequence[int] = range(25),
     sizes: Sequence[str] = ("small", "medium"),
-    config: Optional[PipelineConfig] = None,
 ) -> Corpus:
     """Build (or extend) a corpus by scanning generator seeds greedily.
 
@@ -307,6 +288,6 @@ def seed_corpus(
             if corpus.covered() >= set(FEATURES):
                 break
             source = random_source(seed, size)
-            consider(corpus, seed, size, source, config=config)
+            consider(corpus, seed, size, source)
     save_corpus(corpus)
     return corpus

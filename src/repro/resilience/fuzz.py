@@ -15,22 +15,22 @@ Two refinements over naive seed-sweeping:
   starts with known-interesting inputs.  ``update_corpus=True`` makes the
   run persist any new seed that covers a feature the corpus lacks.
 * **Signature dedup** — failures are keyed by (kind, stage, function);
-  repeat hits of a known signature skip re-minimization and merge into
-  the existing bundle's hit count instead of writing fifty copies of the
-  same bug.
+  repeat hits of a known signature skip re-minimization: the first
+  bundle is written again through :func:`~.triage.write_bundle`, whose
+  merge-on-write keeps its witness and adds the hit and the seed,
+  instead of writing fifty copies of the same bug.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..testing.generator import random_source
 from . import corpus as corpus_mod
 from .faults import FaultSpec
-from .pipeline import PipelineConfig
-from .triage import Failure, make_bundle, merge_hit, probe_failure, write_bundle
+from .triage import Failure, TriageBundle, make_bundle, probe_failure, write_bundle
 
 DEFAULT_K_VALUES = (3, 5)
 DEFAULT_ALLOCATORS = ("gra", "rap", "ssaspill")
@@ -75,7 +75,6 @@ def run_fuzz(
     allocators: Sequence[str] = DEFAULT_ALLOCATORS,
     out_dir: str = "artifacts",
     max_cycles: int = 3_000_000,
-    config: Optional[PipelineConfig] = None,
     minimize: bool = True,
     stream: Optional[TextIO] = None,
     inject: Optional[Sequence[FaultSpec]] = None,
@@ -94,8 +93,8 @@ def run_fuzz(
     """
     stream = stream or sys.stdout
     report = FuzzReport()
-    #: signature -> bundle path, for merge-instead-of-minimize.
-    seen: Dict[str, Optional[str]] = {}
+    #: signature -> (first bundle, its path), for merge-instead-of-minimize.
+    seen: Dict[str, Tuple[TriageBundle, str]] = {}
 
     def run_one(source: str, seed: Optional[int], label: str) -> None:
         for allocator in allocators:
@@ -105,7 +104,6 @@ def run_fuzz(
                     source,
                     allocator,
                     k,
-                    config=config,
                     max_cycles=max_cycles,
                     seed=seed,
                     inject=inject,
@@ -119,9 +117,11 @@ def run_fuzz(
                     file=stream,
                 )
                 if signature in seen:
-                    path = seen[signature]
-                    if path is not None:
-                        merge_hit(path, seed)
+                    first, path = seen[signature]
+                    hit = replace(
+                        first, hits=1, seeds=[] if seed is None else [seed]
+                    )
+                    write_bundle(hit, out_dir)
                     print(f"  duplicate of: {path}", file=stream)
                     report.failures.append(
                         FuzzFailure(
@@ -136,12 +136,11 @@ def run_fuzz(
                     k,
                     seed=seed,
                     size=size,
-                    config=config,
                     minimize=minimize,
                     inject=inject,
                 )
                 path = write_bundle(bundle, out_dir)
-                seen[signature] = path
+                seen[signature] = (bundle, path)
                 print(f"  bundle: {path}", file=stream)
                 report.failures.append(
                     FuzzFailure(seed, allocator, k, failure, path)
@@ -162,7 +161,7 @@ def run_fuzz(
         source = random_source(seed, size)
         run_one(source, seed, f"seed={seed}")
         if update_corpus and corpus is not None:
-            added = corpus_mod.consider(corpus, seed, size, source, config=config)
+            added = corpus_mod.consider(corpus, seed, size, source)
             if added is not None:
                 corpus_grew = True
                 print(

@@ -13,9 +13,13 @@ physical-register bounds, PDG tree shape, spill-slot discipline, and an
 independent recheck of the coloring against a rebuilt interference graph,
 plus the transformation validators of
 :mod:`repro.resilience.validators`, which re-prove RAP's spill-code
-motion and Figure-6 peephole sound from scratch), so corruption is caught
+motion and Figure-6 peephole sound from scratch, and ssaspill's SSA
+construction, destruction and chordal coloring), so corruption is caught
 *at the stage that produced it*, not three stages later as a wrong
-answer.  The optional schedule stage list-schedules the allocated code
+answer.  Every validator always runs; a test that needs one out of the
+way monkeypatches it (``repro.resilience.pipeline.check_*`` or
+``repro.resilience.validators.validate_*``).  The schedule stage, asked
+for per call with ``schedule=True``, list-schedules the allocated code
 and proves the emitted order is a topological order of an independently
 re-derived dependence DAG before accepting it.
 
@@ -33,7 +37,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..frontend import analyze, parse
 from ..frontend.errors import FrontendError
-from ..interp.machine import FunctionImage, Machine, ProgramImage
+from ..interp.machine import MAX_CYCLES, FunctionImage, Machine, ProgramImage
 from ..interp.memory import MachineFault
 from ..interp.stats import ExecStats
 from ..ir.builder import build_module
@@ -44,8 +48,8 @@ from ..pdg.validate import check_pdg
 from .errors import MiscompileError, StageContext, StageError
 from .telemetry import MetricsCollector
 
-#: Stage names, in pipeline order.  The schedule stage is optional
-#: (``PipelineConfig.schedule``); when off, it simply never runs.
+#: Stage names, in pipeline order.  The schedule stage runs only for an
+#: allocation asked for with ``schedule=True``.
 STAGES = (
     "parse",
     "sema",
@@ -77,31 +81,11 @@ def _allocator_registry() -> Dict[str, Callable[..., Any]]:
 
 @dataclass
 class PipelineConfig:
-    """Knobs of one pipeline instance.
+    """Knobs of one pipeline instance."""
 
-    ``max_cycles`` is the execute-stage cycle budget.  The validate
-    stage always runs; the ``verify_*`` switches exist so tests can
-    prove a given corruption is caught by a given check — production
-    callers leave them all on.
-    """
-
+    #: region granularity of the pdg-build stage: ``"statement"`` or
+    #: ``"merged"``.
     granularity: str = "statement"
-    max_cycles: int = 50_000_000
-    verify_spill_discipline: bool = True
-    verify_assignment: bool = True
-    #: independent transformation validators (see
-    #: :mod:`repro.resilience.validators`): recheck RAP's spill-code
-    #: motion and Figure-6 peephole from scratch after every allocation.
-    verify_motion: bool = True
-    verify_peephole: bool = True
-    #: the three SSA validators (construction, destruction, chordal
-    #: coloring) run against the ``ssaspill`` allocator's certificate.
-    verify_ssa: bool = True
-    #: run the list scheduler as its own pipeline stage after validate,
-    #: and (when ``verify_schedule``) prove the emitted order is a
-    #: topological order of an independently re-derived dependence DAG.
-    schedule: bool = False
-    verify_schedule: bool = True
     #: ``False`` re-raises front-end errors unwrapped (the legacy
     #: :func:`repro.compiler.compile_source` contract: callers get
     #: :class:`~repro.frontend.errors.FrontendError` with a location).
@@ -209,23 +193,16 @@ class PassPipeline:
         func: PDGFunction,
         allocator: str,
         k: int,
+        *,
+        schedule: bool = False,
         **alloc_kwargs: Any,
     ):
-        """allocate -> validate for one function; returns the
-        ``AllocationResult`` (``func`` is mutated by RAP, as always).
+        """allocate -> validate [-> schedule] for one function; returns
+        the ``AllocationResult`` (``func`` is mutated by RAP, as always).
 
-        ``schedule=True``/``False`` in ``alloc_kwargs`` overrides
-        ``config.schedule`` for this call only — the channel the
-        benchmark harness uses to schedule the RAP column of a sweep
-        without scheduling the GRA baseline (the same pipeline serves
-        both columns, and per-allocator kwargs already ride through the
-        serial and ``--jobs`` paths identically)."""
-        schedule_override = alloc_kwargs.pop("schedule", None)
-        do_schedule = (
-            self.config.schedule
-            if schedule_override is None
-            else bool(schedule_override)
-        )
+        ``schedule=True`` adds the schedule stage.  It is a per-call
+        argument so one pipeline can schedule the RAP column of a sweep
+        without scheduling the GRA baseline."""
         registry = _allocator_registry()
         if allocator not in registry:
             raise ValueError(f"unknown allocator {allocator!r}")
@@ -246,7 +223,7 @@ class PassPipeline:
             allocator=allocator,
             k=k,
         )
-        if do_schedule:
+        if schedule:
             self._run_stage(
                 "schedule",
                 lambda: self._schedule(func, allocator, k, result),
@@ -292,28 +269,32 @@ class PassPipeline:
         from .validators import validate_schedule
 
         scheduled, report = schedule_code(result.code, function=func.name)
-        if self.config.verify_schedule:
-            validate_schedule(
-                result.code,
-                scheduled,
-                self.context(
-                    "schedule", function=func.name, allocator=allocator, k=k
-                ),
-            )
+        validate_schedule(
+            result.code,
+            scheduled,
+            self.context(
+                "schedule", function=func.name, allocator=allocator, k=k
+            ),
+        )
         result.code = scheduled
         if self.metrics is not None:
             self.metrics.record_schedule(report)
         return report
 
     def validate(self, func: PDGFunction, allocator: str, k: int, result) -> None:
-        """Every structural invariant the allocated code must satisfy."""
+        """Every structural invariant the allocated code must satisfy.
+
+        Every check always runs.  The ssaspill validators run before the
+        assignment recheck, so a corrupted SSA rename, copy window or
+        coloring is reported by the validator that names it; the generic
+        recheck stays as the last word for them."""
         check_wellformed(result.code)
         check_allocated(result.code, k)
         if allocator == "rap":
             # RAP rewrites the PDG in place; the tree must survive intact
             # and uniformly physical.
             check_pdg(func, expect_kind="p")
-        if allocator != "spillall" and self.config.verify_spill_discipline:
+        if allocator != "spillall":
             # The spill-everywhere fallback legitimately mirrors the
             # program's own (possibly path-dependent) def-before-use
             # structure, so the must-store analysis only applies to the
@@ -321,10 +302,27 @@ class PassPipeline:
             from ..compiler import param_slots
 
             check_spill_discipline(result.code, initialized=param_slots(func))
-        if self.config.verify_assignment:
-            virtual_code = getattr(result, "virtual_code", None)
-            if virtual_code is not None:
-                check_assignment(virtual_code, result.assignment)
+        virtual_code = getattr(result, "virtual_code", None)
+        cert = getattr(result, "cert", None)
+        if allocator == "ssaspill" and cert is not None:
+            # The SSA rung's three independent validators: rename recheck
+            # against recomputed reaching definitions, symbolic replay of
+            # every parallel-copy window, and the chordal
+            # zero-coloring-time-spill re-proof.
+            from .validators import (
+                validate_chordal,
+                validate_destruction,
+                validate_ssa_construction,
+            )
+
+            context = self.context(
+                "validate", function=func.name, allocator=allocator, k=k
+            )
+            validate_ssa_construction(cert, context)
+            validate_destruction(cert, virtual_code, context)
+            validate_chordal(cert, virtual_code, context)
+        if virtual_code is not None:
+            check_assignment(virtual_code, result.assignment)
         if allocator == "rap":
             # Independent transformation validators: recheck the motion
             # and peephole phases from the snapshots RAP captured, rather
@@ -334,32 +332,10 @@ class PassPipeline:
             context = self.context(
                 "validate", function=func.name, allocator=allocator, k=k
             )
-            if self.config.verify_motion:
-                validate_motion(func, result, context)
-            if self.config.verify_peephole:
-                pre = getattr(result, "pre_peephole_code", None)
-                if pre is not None:
-                    validate_peephole(pre, result.code, context)
-        if allocator == "ssaspill" and self.config.verify_ssa:
-            # The SSA rung's three independent validators: rename recheck
-            # against recomputed reaching definitions, symbolic replay of
-            # every parallel-copy window, and the chordal
-            # zero-coloring-time-spill re-proof.
-            cert = getattr(result, "cert", None)
-            if cert is not None:
-                from .validators import (
-                    validate_chordal,
-                    validate_destruction,
-                    validate_ssa_construction,
-                )
-
-                context = self.context(
-                    "validate", function=func.name, allocator=allocator, k=k
-                )
-                validate_ssa_construction(cert, context)
-                virtual_code = getattr(result, "virtual_code", None)
-                validate_destruction(cert, virtual_code, context)
-                validate_chordal(cert, virtual_code, context)
+            validate_motion(func, result, context)
+            pre = getattr(result, "pre_peephole_code", None)
+            if pre is not None:
+                validate_peephole(pre, result.code, context)
 
     def execute(
         self,
@@ -369,12 +345,11 @@ class PassPipeline:
         max_cycles: Optional[int] = None,
         **ctx_kw: Any,
     ) -> ExecStats:
-        """Run a program image under the configured cycle budget."""
+        """Run a program image under ``max_cycles`` (default
+        :data:`~repro.interp.machine.MAX_CYCLES`)."""
 
         def thunk() -> ExecStats:
-            machine = Machine(
-                image, max_cycles=max_cycles or self.config.max_cycles
-            )
+            machine = Machine(image, max_cycles=max_cycles or MAX_CYCLES)
             try:
                 machine.run(entry, args)
             finally:

@@ -9,7 +9,8 @@ under ``artifacts/``:
   the same failure signature persists);
 * ``original.mc`` — the unminimized program, for paranoia;
 * ``bundle.json`` — machine-readable scenario: allocator, k, seed,
-  failure kind/stage, expected vs actual output, divergence index;
+  failure kind/stage, expected vs actual output, divergence index, and
+  the fault specs that were armed;
 * ``README.md`` — the one CLI command that replays the failure.
 
 Replaying is ``python -m repro replay artifacts/<bundle>``: it re-runs the
@@ -29,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import faults
 from .errors import MiscompileError, StageError
-from .pipeline import PassPipeline, PipelineConfig
+from .pipeline import PassPipeline
 
 #: Default bundle directory, relative to the current working directory.
 ARTIFACTS_DIR = "artifacts"
@@ -83,12 +84,12 @@ def probe_failure(
     source: str,
     allocator: str,
     k: int,
-    config: Optional[PipelineConfig] = None,
     max_cycles: int = 3_000_000,
     seed: Optional[int] = None,
     inject: Optional[Sequence[faults.FaultSpec]] = None,
 ) -> Optional[Failure]:
-    """Compile, allocate, run, and compare one scenario.
+    """Compile, allocate, run, and compare one scenario on the default
+    pipeline.
 
     Returns the :class:`Failure` observed, or ``None`` when the scenario
     is healthy (including when the *reference* run itself cannot complete,
@@ -100,7 +101,7 @@ def probe_failure(
     replay) deterministic.
     """
     plan_cm = faults.injected(*inject) if inject else nullcontext()
-    pipe = PassPipeline(config, seed=seed)
+    pipe = PassPipeline(seed=seed)
     try:
         prog = pipe.compile(source)
         reference = pipe.execute(prog.reference_image(), max_cycles=max_cycles)
@@ -191,10 +192,9 @@ def minimize_source(
 class TriageBundle:
     """Everything needed to replay one failure, self-contained.
 
-    ``config`` is the serialized :class:`PipelineConfig` the failure was
-    found under and ``injected`` the fault specs that were armed (if any)
-    — both are restored on replay, so even a failure manufactured by the
-    fault-injection layer reproduces from its bundle alone.
+    ``injected`` holds the fault specs that were armed (if any); replay
+    re-arms them, so even a failure manufactured by the fault-injection
+    layer reproduces from its bundle alone.
     """
 
     kind: str
@@ -206,11 +206,9 @@ class TriageBundle:
     minimized: str
     seed: Optional[int] = None
     size: Optional[str] = None
-    granularity: str = "statement"
     divergence_index: Optional[int] = None
     expected: List = field(default_factory=list)
     actual: List = field(default_factory=list)
-    config: Dict[str, Any] = field(default_factory=dict)
     injected: List[Dict[str, Any]] = field(default_factory=list)
     #: failing function (from the stage context), part of the dedup key.
     function: Optional[str] = None
@@ -236,7 +234,6 @@ def make_bundle(
     k: int,
     seed: Optional[int] = None,
     size: Optional[str] = None,
-    config: Optional[PipelineConfig] = None,
     minimize: bool = True,
     inject: Optional[Sequence[faults.FaultSpec]] = None,
 ) -> TriageBundle:
@@ -245,9 +242,7 @@ def make_bundle(
     minimized = source
     if minimize:
         def still_fails(candidate: str) -> bool:
-            observed = probe_failure(
-                candidate, allocator, k, config=config, inject=inject
-            )
+            observed = probe_failure(candidate, allocator, k, inject=inject)
             return observed is not None and observed.matches(failure)
 
         minimized = minimize_source(source, still_fails)
@@ -261,11 +256,9 @@ def make_bundle(
         minimized=minimized,
         seed=seed,
         size=size,
-        granularity=(config or PipelineConfig()).granularity,
         divergence_index=failure.divergence_index,
         expected=failure.expected,
         actual=failure.actual,
-        config=asdict(config or PipelineConfig()),
         injected=[asdict(spec) for spec in inject],
         function=failure.function,
         seeds=[] if seed is None else [seed],
@@ -338,24 +331,11 @@ def write_bundle(bundle: TriageBundle, out_dir: str = ARTIFACTS_DIR) -> str:
     return directory
 
 
-def merge_hit(directory: str, seed: Optional[int] = None) -> None:
-    """Record one more hit of an existing bundle's signature without
-    re-minimizing (the fuzzer's fast path for duplicate failures)."""
-    bundle = load_bundle(directory)
-    bundle.hits += 1
-    if seed is not None:
-        bundle.seeds = sorted(set(bundle.seeds) | {seed})
-    # Rewrite metadata only; write_bundle's merge path would double-count.
-    meta = asdict(bundle)
-    meta.pop("source")
-    meta.pop("minimized")
-    meta["replay"] = bundle.replay_command(directory)
-    with open(os.path.join(directory, "bundle.json"), "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def load_bundle(directory: str) -> TriageBundle:
+    """Read a bundle directory.  Keys a :class:`TriageBundle` no longer
+    has (an older build's ``config`` and ``granularity``, say) are
+    dropped, so a bundle written before a field was deleted still
+    replays."""
     with open(os.path.join(directory, "bundle.json")) as handle:
         meta = json.load(handle)
     with open(os.path.join(directory, "repro.mc")) as handle:
@@ -365,8 +345,10 @@ def load_bundle(directory: str) -> TriageBundle:
     if os.path.exists(original_path):
         with open(original_path) as handle:
             source = handle.read()
-    meta.pop("replay", None)
-    return TriageBundle(source=source, minimized=minimized, **meta)
+    known = {f.name for f in fields(TriageBundle)}
+    meta = {key: value for key, value in meta.items() if key in known}
+    meta.update(source=source, minimized=minimized)
+    return TriageBundle(**meta)
 
 
 @dataclass
@@ -391,26 +373,13 @@ class ReplayResult:
         )
 
 
-def replay_bundle(
-    directory: str, config: Optional[PipelineConfig] = None
-) -> ReplayResult:
+def replay_bundle(directory: str) -> ReplayResult:
     """Re-run a bundle's minimized witness under its recorded scenario,
-    restoring the recorded pipeline config and any armed fault specs."""
+    re-arming any recorded fault specs."""
     bundle = load_bundle(directory)
-    if config is None:
-        if bundle.config:
-            # A bundle written by an older build may record knobs that
-            # have since been deleted; replay under the ones that remain.
-            known = {knob.name for knob in fields(PipelineConfig)}
-            config = PipelineConfig(
-                **{k: v for k, v in bundle.config.items() if k in known}
-            )
-        else:
-            config = PipelineConfig(granularity=bundle.granularity)
     inject = [faults.FaultSpec(**spec) for spec in bundle.injected]
     observed = probe_failure(
-        bundle.minimized, bundle.allocator, bundle.k, config=config,
-        inject=inject,
+        bundle.minimized, bundle.allocator, bundle.k, inject=inject
     )
     recorded_signature = Failure(
         kind=bundle.kind, stage=bundle.stage, error=bundle.error

@@ -18,7 +18,7 @@ code.  Any edit to a ``.py`` file under ``src/repro`` changes every
 key, which simply makes the persisted tier cold — the same degradation
 semantics as a ``FORMAT_VERSION`` bump.  The pipeline's configuration
 is not a separate key input: the daemon always runs the default
-:class:`~repro.resilience.pipeline.PipelineConfig`, whose defaults are
+:class:`~repro.resilience.pipeline.PassPipeline`, whose defaults are
 source code the fingerprint already covers.
 
 The memory tier
@@ -37,15 +37,16 @@ the warm one).  The lock is never held across file I/O: a ``put``
 writes its file before taking it (the write is atomic through
 ``os.replace``), and a memory miss reads the file before taking it
 again to promote the entry, so a warm hit never waits on the disk.
-Persisted payloads from an older wire format are ignored: a version
-bump simply makes the disk tier cold.
+Persisted payloads from an older wire format or other code are
+ignored: a version bump or a deploy simply makes the disk tier cold.
 
 Disk-tier integrity
 -------------------
 
 Every persisted file carries a sha256 of its payload in the header
-(``{"sha256": ..., "meta": ..., "image": ...}``, where ``image`` is the
-base64 of the deflated blob), folded in at write time.  A read
+(``{"sha256": ..., "code": ..., "meta": ..., "image": ...}``, where
+``image`` is the base64 of the deflated blob and ``code`` the writer's
+:func:`source_fingerprint`), folded in at write time.  A read
 recomputes and compares: a mismatch, a file that no longer parses, or
 an image that is not base64 of a deflate stream inflating within
 :data:`~repro.service.defaults.CACHE_BYTES` is a miss counted under
@@ -56,9 +57,13 @@ deleted (the replication layer above re-supplies them; a corrupt file
 kept on disk would just re-fail every read), and the result is
 reported under ``stats()["scrub"]``.  A read that finds a file corrupt
 deletes it too, so it counts once, not on every later read.  Files
-written by an older format version — or holding the image as plain
-canonical JSON text, the encoding before deflated images — fail the
-scrub as ``stale`` and are left in place: stale is cold, not corrupt.
+written by other code (a ``code`` header that is not this process's
+fingerprint, or none), by an older format version, or holding the image
+as plain canonical JSON text (the encoding before deflated images) read
+as ``stale`` and are deleted as well: their keys fold in a format
+version or code fingerprint no running daemon has, so nothing can ever
+ask for them, and kept they would grow the directory by one working set
+per deploy.
 """
 
 from __future__ import annotations
@@ -130,9 +135,9 @@ def verify_document(document: Any) -> Tuple[Optional[bytes], Optional[str]]:
     can be served, else ``(None, cause)`` — ``"corrupt"`` (shape damage,
     checksum mismatch, or an image that does not decode — the file does
     not say what it said when written) or ``"stale"`` (written by an
-    older format: pre-checksum header, the image as canonical JSON text
-    rather than deflated, or an older wire version — cold by design, not
-    damaged)."""
+    older format — pre-checksum header, the image as canonical JSON text
+    rather than deflated, or an older wire version — or by other code:
+    cold by design, not damaged)."""
     if not isinstance(document, dict):
         return None, "corrupt"
     meta = document.get("meta")
@@ -155,6 +160,8 @@ def verify_document(document: Any) -> Tuple[Optional[bytes], Optional[str]]:
         return None, "corrupt"
     if version != FORMAT_VERSION:
         return None, "stale"
+    if document.get("code") != source_fingerprint():
+        return None, "stale"  # written by other code: no key reaches it
     return blob, None
 
 
@@ -354,6 +361,7 @@ class ArtifactCache:
         image = base64.b64encode(entry.blob).decode("ascii")
         document = {
             "sha256": _document_digest(entry.meta, image),
+            "code": source_fingerprint(),
             "meta": entry.meta,
             "image": image,
         }
@@ -370,10 +378,11 @@ class ArtifactCache:
         holds a good copy, or None and why not (``"absent"``, or
         ``"stale"`` / ``"corrupt"`` as :func:`verify_document` says).
 
-        A file read as corrupt is deleted, as the scrub does, so the
-        next read is an ordinary miss instead of another ``corrupt``.
-        The file is removed only while it is still the one that was
-        read: a concurrent :meth:`put` replaces it with a new inode."""
+        A file read as stale or corrupt is deleted, as the scrub does,
+        so the next read is an ordinary miss instead of another
+        ``corrupt``.  The file is removed only while it is still the one
+        that was read: a concurrent :meth:`put` replaces it with a new
+        inode."""
         if not self.persist_dir:
             return None, "absent"
         path = self._path(key)
@@ -392,7 +401,7 @@ class ArtifactCache:
                 # the store must say so — never a crash.
                 document = None
         blob, cause = verify_document(document)
-        if cause == "corrupt":
+        if cause is not None:
             try:
                 if _identity(os.stat(path)) == read:
                     os.remove(path)
@@ -405,11 +414,12 @@ class ArtifactCache:
     # -- the startup scrub ----------------------------------------------------
 
     def scrub(self) -> Dict[str, int]:
-        """Verify every persisted artifact file once, deleting corrupt
-        ones (a corrupt file would re-fail every future read; deleting
-        it lets the replication tier above re-supply the key).  Returns
-        the tally: ``scanned`` / ``ok`` / ``stale`` (older format, left
-        in place — cold, not damaged) / ``corrupt`` (deleted).
+        """Verify every persisted artifact file once, deleting the ones
+        that cannot be served (a corrupt file would re-fail every future
+        read, and deleting it lets the replication tier above re-supply
+        the key; a stale one is unreachable).  Returns the tally:
+        ``scanned`` / ``ok`` / ``stale`` (older format or other code —
+        cold, not damaged; deleted) / ``corrupt`` (deleted).
         Automatically run by the constructor when ``persist_dir`` is
         set; callable again for a live re-scan (the result replaces the
         ``scrub`` block in :meth:`stats`)."""

@@ -181,9 +181,8 @@ class TestResilienceCommands:
                      "--allocators", "gra", "--out", out_dir]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_replay_bundle_via_cli(self, tmp_path, capsys):
+    def test_replay_bundle_via_cli(self, tmp_path, capsys, monkeypatch):
         from repro.resilience.faults import FaultSpec
-        from repro.resilience.pipeline import PipelineConfig
         from repro.resilience.triage import (
             make_bundle, probe_failure, write_bundle,
         )
@@ -196,13 +195,16 @@ class TestResilienceCommands:
             "}\n"
             "void main() { print(f(2, 3, 5, 7)); }\n"
         )
-        cfg = PipelineConfig(verify_spill_discipline=False)
+        # The check that would catch the corrupt slots, patched out.
+        monkeypatch.setattr(
+            "repro.resilience.pipeline.check_spill_discipline",
+            lambda *args, **kwargs: None,
+        )
         spec = FaultSpec("gra.spill.corrupt-slot", times=None)
-        failure = probe_failure(source, "gra", 3, config=cfg, inject=[spec])
+        failure = probe_failure(source, "gra", 3, inject=[spec])
         assert failure is not None
         bundle = make_bundle(
-            source, failure, "gra", 3, config=cfg, inject=[spec],
-            minimize=False,
+            source, failure, "gra", 3, inject=[spec], minimize=False
         )
         path = write_bundle(bundle, str(tmp_path))
         assert main(["replay", path]) == 0

@@ -19,7 +19,6 @@ from repro.resilience.corpus import (
 )
 from repro.resilience.faults import FaultSpec
 from repro.resilience.fuzz import run_fuzz
-from repro.resilience.pipeline import PipelineConfig
 from repro.resilience.triage import failure_signature
 
 SPILLY = """
@@ -34,8 +33,7 @@ void main() { print(f(2, 3, 5, 7)); }
 TRIVIAL = "void main() { int i; i = 2; print(i + 3); }"
 
 #: Deterministic miscompile: corrupt every GRA spill slot with the check
-#: that would catch it switched off (same scenario as test_triage).
-MISCOMPILE_CFG = PipelineConfig(verify_spill_discipline=False)
+#: that would catch it patched out (same scenario as test_triage).
 MISCOMPILE_SPEC = FaultSpec("gra.spill.corrupt-slot", times=None)
 
 
@@ -190,7 +188,11 @@ class TestFuzzCorpusReplay:
 
 
 class TestSignatureDedup:
-    def test_same_signature_merges_into_one_bundle(self, tmp_path):
+    def test_same_signature_merges_into_one_bundle(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            "repro.resilience.pipeline.check_spill_discipline",
+            lambda *args, **kwargs: None,
+        )
         # Two corpus entries with the same spilling program: under an
         # armed corrupt-slot probe both fail identically, so the second
         # merges into the first bundle instead of re-minimizing.
@@ -215,7 +217,6 @@ class TestSignatureDedup:
             out_dir=out_dir,
             stream=stream,
             corpus_dir=corpus_dir,
-            config=MISCOMPILE_CFG,
             inject=[MISCOMPILE_SPEC],
             minimize=False,
         )

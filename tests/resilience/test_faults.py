@@ -11,7 +11,7 @@ from repro.interp.machine import FunctionImage, ProgramImage
 from repro.resilience import faults
 from repro.resilience.errors import StageError
 from repro.resilience.faults import FaultInjected, FaultPlan, FaultSpec
-from repro.resilience.pipeline import PassPipeline, PipelineConfig
+from repro.resilience.pipeline import PassPipeline
 
 BENCH = program("sieve")
 
@@ -33,13 +33,13 @@ SCENARIOS = {
 }
 
 
-def allocate_all(allocator, k, config=None):
-    pipe = PassPipeline(config)
+def allocate_all(allocator, k, schedule=False):
+    pipe = PassPipeline()
     prog = pipe.compile(BENCH.source())
     module = prog.fresh_module()
     functions = {}
     for name, func in module.functions.items():
-        result = pipe.allocate(func, allocator, k)
+        result = pipe.allocate(func, allocator, k, schedule=schedule)
         functions[name] = FunctionImage(name, result.code, param_slots(func))
     return ProgramImage(list(module.globals.values()), functions)
 
@@ -128,13 +128,12 @@ class TestSchedulerProbe:
     and re-trip the same probe)."""
 
     def test_swap_caught_at_schedule_stage(self):
-        config = PipelineConfig(schedule=True)
         with faults.injected(FaultSpec("sched.reorder-dependent")) as plan:
             with pytest.raises(StageError) as info:
-                allocate_all("gra", 3, config=config)
+                allocate_all("gra", 3, schedule=True)
             assert plan.fired, "scheduler probe never fired"
         assert info.value.stage == "schedule"
 
     def test_schedule_stage_healthy_without_plan(self):
         # With no plan armed the schedule stage runs and verifies clean.
-        allocate_all("gra", 3, config=PipelineConfig(schedule=True))
+        allocate_all("gra", 3, schedule=True)

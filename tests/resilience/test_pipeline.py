@@ -84,10 +84,10 @@ class TestStages:
         assert "k=2" in err.context.describe()
 
     def test_execute_budget_becomes_stage_error(self):
-        pipe = PassPipeline(PipelineConfig(max_cycles=10))
+        pipe = PassPipeline()
         prog = pipe.compile(GOOD)
         with pytest.raises(StageError) as info:
-            pipe.execute(prog.reference_image())
+            pipe.execute(prog.reference_image(), max_cycles=10)
         assert info.value.stage == "execute"
 
     def test_defaults_stamped_on_errors(self):

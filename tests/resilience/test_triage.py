@@ -3,8 +3,9 @@
 import json
 import os
 
+import pytest
+
 from repro.resilience.faults import FaultSpec
-from repro.resilience.pipeline import PipelineConfig
 from repro.resilience.triage import (
     Failure,
     load_bundle,
@@ -21,10 +22,18 @@ void main() { int i; i = 2; print(i + 3); }
 """
 
 #: A scenario that deterministically miscompiles: the spill slots of every
-#: GRA load are corrupted while the validator that would catch it is off,
-#: so the corrupt loads read zeros and the output diverges.
-MISCOMPILE_CFG = PipelineConfig(verify_spill_discipline=False)
+#: GRA load are corrupted while the check that would catch it is patched
+#: out (``spill_check_off``), so the corrupt loads read zeros and the
+#: output diverges.
 MISCOMPILE_SPEC = FaultSpec("gra.spill.corrupt-slot", times=None)
+
+
+@pytest.fixture
+def spill_check_off(monkeypatch):
+    monkeypatch.setattr(
+        "repro.resilience.pipeline.check_spill_discipline",
+        lambda *args, **kwargs: None,
+    )
 
 SPILLY = """
 int f(int a, int b, int c, int d) {
@@ -52,10 +61,8 @@ class TestProbeFailure:
         assert failure.kind == "crash"
         assert failure.stage == "allocate"
 
-    def test_miscompile_probe(self):
-        failure = probe_failure(
-            SPILLY, "gra", 3, config=MISCOMPILE_CFG, inject=[MISCOMPILE_SPEC]
-        )
+    def test_miscompile_probe(self, spill_check_off):
+        failure = probe_failure(SPILLY, "gra", 3, inject=[MISCOMPILE_SPEC])
         assert failure is not None
         assert failure.kind == "miscompile"
         assert failure.expected != failure.actual
@@ -71,17 +78,14 @@ class TestProbeFailure:
 
 
 class TestMinimize:
-    def test_minimizes_to_signature(self):
+    def test_minimizes_to_signature(self, spill_check_off):
         source = random_source(0, "small")
-        failure = probe_failure(
-            source, "gra", 3, config=MISCOMPILE_CFG, inject=[MISCOMPILE_SPEC]
-        )
+        failure = probe_failure(source, "gra", 3, inject=[MISCOMPILE_SPEC])
         assert failure is not None and failure.kind == "miscompile"
 
         def still_fails(candidate):
             observed = probe_failure(
-                candidate, "gra", 3,
-                config=MISCOMPILE_CFG, inject=[MISCOMPILE_SPEC],
+                candidate, "gra", 3, inject=[MISCOMPILE_SPEC]
             )
             return observed is not None and observed.matches(failure)
 
@@ -103,16 +107,24 @@ class TestMinimize:
         assert len(calls) <= 10
 
 
+@pytest.mark.usefixtures("spill_check_off")
 class TestBundles:
     def make(self, tmp_path):
-        failure = probe_failure(
-            SPILLY, "gra", 3, config=MISCOMPILE_CFG, inject=[MISCOMPILE_SPEC]
-        )
+        failure = probe_failure(SPILLY, "gra", 3, inject=[MISCOMPILE_SPEC])
         bundle = make_bundle(
             SPILLY, failure, "gra", 3, seed=7, size="small",
-            config=MISCOMPILE_CFG, inject=[MISCOMPILE_SPEC],
+            inject=[MISCOMPILE_SPEC],
         )
         return write_bundle(bundle, str(tmp_path))
+
+    @staticmethod
+    def rewrite_meta(path, **changes):
+        meta_path = os.path.join(path, "bundle.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta.update(changes)
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
 
     def test_bundle_layout(self, tmp_path):
         from repro.resilience.triage import failure_signature
@@ -126,7 +138,6 @@ class TestBundles:
             meta = json.load(handle)
         assert meta["kind"] == "miscompile"
         assert meta["replay"] == f"python -m repro replay {path}"
-        assert meta["config"]["verify_spill_discipline"] is False
         assert meta["injected"][0]["point"] == "gra.spill.corrupt-slot"
 
     def test_roundtrip_and_replay(self, tmp_path):
@@ -141,26 +152,50 @@ class TestBundles:
     def test_fixed_bug_does_not_reproduce(self, tmp_path):
         path = self.make(tmp_path)
         # Simulate the fix: drop the recorded fault plan.
-        meta_path = os.path.join(path, "bundle.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta["injected"] = []
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
+        self.rewrite_meta(path, injected=[])
         result = replay_bundle(path)
         assert not result.reproduced
         assert "does NOT reproduce" in result.describe()
 
     def test_replay_ignores_deleted_config_knobs(self, tmp_path):
         path = self.make(tmp_path)
-        # A bundle from a build whose PipelineConfig still had these.
-        meta_path = os.path.join(path, "bundle.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta["config"].update(verify=True, max_alloc_rounds=None)
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
+        # A bundle from a build that recorded its pipeline config.
+        self.rewrite_meta(
+            path,
+            config={"verify": True, "max_alloc_rounds": None},
+            granularity="statement",
+        )
         result = replay_bundle(path)
+        assert result.reproduced, result.describe()
+
+    def test_bundle_json_from_an_older_build_replays(self, tmp_path):
+        # bundle.json as written while TriageBundle still had ``config``
+        # and ``granularity``: the keys are dropped on load.
+        path = tmp_path / "miscompile-gra-k3-old"
+        path.mkdir()
+        (path / "repro.mc").write_text(SPILLY)
+        meta = {
+            "actual": [0], "allocator": "gra", "divergence_index": 0,
+            "error": "output diverges from reference at index 0",
+            "expected": [72], "function": None, "granularity": "statement",
+            "hits": 2, "injected": [
+                {"function": "*", "point": "gra.spill.corrupt-slot",
+                 "skip": 0, "times": None}
+            ],
+            "k": 3, "kind": "miscompile", "replay": "python -m repro replay x",
+            "seed": 7, "seeds": [7, 9], "size": "small", "stage": "compare",
+            "config": {
+                "granularity": "statement", "max_cycles": 50000000,
+                "schedule": False, "verify_assignment": True,
+                "verify_motion": True, "verify_peephole": True,
+                "verify_schedule": True, "verify_spill_discipline": False,
+                "verify_ssa": True, "wrap_frontend_errors": True,
+            },
+        }
+        (path / "bundle.json").write_text(json.dumps(meta, indent=2))
+        bundle = load_bundle(str(path))
+        assert (bundle.hits, bundle.seeds) == (2, [7, 9])
+        result = replay_bundle(str(path))
         assert result.reproduced, result.describe()
 
     def test_signature_matching(self):

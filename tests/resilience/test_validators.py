@@ -1,12 +1,15 @@
 """The transformation validators: each phase probe is caught by *its*
-validator as a structured error before execution, and switching that
-validator off lets the same probe reach execution as a miscompile.
+validator as a structured error before execution on the default
+pipeline, and patching that validator to a no-op lets the same probe
+reach execution as a miscompile.
 
 The witness programs are fuzzer-found (``repro.testing.generator``) and
 delta-minimized with ``minimize_source`` under the predicate "the armed
 probe miscompiles with the validator off AND is caught at the expected
 stage with it on" — so each one is guaranteed to exercise both sides.
 """
+
+from functools import partialmethod
 
 import pytest
 
@@ -25,7 +28,7 @@ from repro.resilience.errors import (
     StageError,
 )
 from repro.resilience.faults import FaultSpec
-from repro.resilience.pipeline import PassPipeline, PipelineConfig
+from repro.resilience.pipeline import PassPipeline
 from repro.resilience.triage import probe_failure
 from repro.resilience.validators import validate_peephole, validate_schedule
 
@@ -98,60 +101,78 @@ void main() {
 }
 """
 
-#: The generic assignment recheck is defense in depth over the SSA
-#: validators: it catches a corrupted copy window / coloring before the
-#: specialized validator runs.  The ON configs for the destruct and
-#: chordal probes switch it off so each probe demonstrably lands in
-#: *its own* validator (the documented purpose of the verify_* flags);
-#: the OFF configs additionally drop verify_ssa so the corruption
-#: reaches execution as a miscompile.
-_NO_ASSIGN = PipelineConfig(verify_assignment=False)
-_SSA_OFF = PipelineConfig(verify_ssa=False)
-_SSA_AND_ASSIGN_OFF = PipelineConfig(
-    verify_ssa=False, verify_assignment=False
-)
+#: The validators a test patches to a no-op, by the names the pipeline
+#: looks them up under at call time.
+SSA_CONSTRUCTION = "repro.resilience.validators.validate_ssa_construction"
+DESTRUCTION = "repro.resilience.validators.validate_destruction"
+CHORDAL = "repro.resilience.validators.validate_chordal"
+ASSIGNMENT = "repro.resilience.pipeline.check_assignment"
+MOTION = "repro.resilience.validators.validate_motion"
+PEEPHOLE = "repro.resilience.validators.validate_peephole"
+SCHEDULE = "repro.resilience.validators.validate_schedule"
 
-#: probe -> (source, allocator, k, error class, config with the matching
-#: validator OFF, config for the validators-ON run or None for defaults).
+#: probe -> (source, allocator, k, error class, the checks that must be
+#: off for the probe to reach execution, schedule stage on?).  The
+#: generic assignment recheck runs after the ssaspill validators and
+#: also sees a corrupted copy window or coloring, so the destruct and
+#: chordal probes need it off too to miscompile.
 SCENARIOS = {
     "ssa.rename.stale-def": (
         REDEF_PRESSURE_WITNESS, "ssaspill", 3, SSAValidationError,
-        _SSA_OFF, None,
+        (SSA_CONSTRUCTION,), False,
     ),
     "ssa.destruct.lost-copy": (
         SWAP_LOOP_WITNESS, "ssaspill", 4, DestructValidationError,
-        _SSA_AND_ASSIGN_OFF, _NO_ASSIGN,
+        (DESTRUCTION, ASSIGNMENT), False,
     ),
     "ssaspill.color.clash": (
         REDEF_PRESSURE_WITNESS, "ssaspill", 3, ChordalValidationError,
-        _SSA_AND_ASSIGN_OFF, _NO_ASSIGN,
+        (CHORDAL, ASSIGNMENT), False,
     ),
     "rap.motion.drop-store": (
         SPILLED_LOOP_WITNESS, "rap", 4, MotionValidationError,
-        PipelineConfig(verify_motion=False), None,
+        (MOTION,), False,
     ),
     "rap.motion.wrong-reg": (
         SPILLED_LOOP_WITNESS, "rap", 4, MotionValidationError,
-        PipelineConfig(verify_motion=False), None,
+        (MOTION,), False,
     ),
     "rap.peephole.stale-holder": (
         GLOBAL_EXPR_WITNESS, "rap", 3, PeepholeValidationError,
-        PipelineConfig(verify_peephole=False), None,
+        (PEEPHOLE,), False,
     ),
     "sched.reorder-dependent": (
         GLOBAL_EXPR_WITNESS, "gra", 3, ScheduleValidationError,
-        PipelineConfig(schedule=True, verify_schedule=False),
-        PipelineConfig(schedule=True),
+        (SCHEDULE,), True,
     ),
 }
 
 
-def allocate_module(source, allocator, k, config=None):
-    pipe = PassPipeline(config)
+def allocate_module(source, allocator, k, schedule=False):
+    pipe = PassPipeline()
     prog = pipe.compile(source)
     module = prog.fresh_module()
     for func in module.functions.values():
-        pipe.allocate(func, allocator, k)
+        pipe.allocate(func, allocator, k, schedule=schedule)
+
+
+def probe(monkeypatch, point, checks_off=()):
+    """``probe_failure`` on the scenario of ``point`` with its probe
+    armed and ``checks_off`` patched to no-ops."""
+    source, allocator, k, _cls, _off, schedule = SCENARIOS[point]
+    for name in checks_off:
+        monkeypatch.setattr(name, lambda *args, **kwargs: None)
+    if schedule:
+        # probe_failure allocates without the schedule stage; turn it on
+        # for this probe's allocations.
+        monkeypatch.setattr(
+            PassPipeline,
+            "allocate_program",
+            partialmethod(PassPipeline.allocate_program, schedule=True),
+        )
+    return probe_failure(
+        source, allocator, k, inject=[FaultSpec(point, times=None)]
+    )
 
 
 class TestProbeCaughtByItsValidator:
@@ -160,10 +181,10 @@ class TestProbeCaughtByItsValidator:
 
     @pytest.mark.parametrize("point", sorted(SCENARIOS))
     def test_caught_with_structured_context(self, point):
-        source, allocator, k, err_cls, _off, on_cfg = SCENARIOS[point]
+        source, allocator, k, err_cls, _off, schedule = SCENARIOS[point]
         with faults.injected(FaultSpec(point, times=None)) as plan:
             with pytest.raises(err_cls) as info:
-                allocate_module(source, allocator, k, config=on_cfg)
+                allocate_module(source, allocator, k, schedule=schedule)
             assert plan.fired, f"probe {point} never fired"
         error = info.value
         assert error.stage in ("validate", "schedule")
@@ -172,29 +193,22 @@ class TestProbeCaughtByItsValidator:
         assert error.context.function is not None
 
     @pytest.mark.parametrize("point", sorted(SCENARIOS))
-    def test_probe_failure_reports_pre_execution_stage(self, point):
-        source, allocator, k, _cls, _off, on_cfg = SCENARIOS[point]
-        failure = probe_failure(
-            source, allocator, k,
-            config=on_cfg, inject=[FaultSpec(point, times=None)],
-        )
+    def test_probe_failure_reports_pre_execution_stage(self, point, monkeypatch):
+        failure = probe(monkeypatch, point)
         assert failure is not None
         assert failure.kind == "crash"
         assert failure.stage in ("validate", "schedule")
 
 
 class TestValidatorOffReproducesMiscompile:
-    """The same probes, with only the matching validator disabled, sail
-    through the pipeline and diverge at output comparison — proof the
-    validators are load-bearing, not redundant with existing checks."""
+    """The same probes, with only the matching validator patched to a
+    no-op, sail through the pipeline and diverge at output comparison —
+    proof the validators are load-bearing, not redundant with existing
+    checks."""
 
     @pytest.mark.parametrize("point", sorted(SCENARIOS))
-    def test_miscompile_without_validator(self, point):
-        source, allocator, k, _cls, off_cfg, _on = SCENARIOS[point]
-        failure = probe_failure(
-            source, allocator, k,
-            config=off_cfg, inject=[FaultSpec(point, times=None)],
-        )
+    def test_miscompile_without_validator(self, point, monkeypatch):
+        failure = probe(monkeypatch, point, SCENARIOS[point][4])
         assert failure is not None
         assert failure.kind == "miscompile"
         assert failure.expected != failure.actual
@@ -309,19 +323,19 @@ class TestPoolRoundTrip:
     parent as the same exception class it would be serially."""
 
     POOL_CASES = [
-        ("rap.motion.wrong-reg", "rap", 4, MotionValidationError, None),
-        ("rap.peephole.stale-holder", "rap", 3, PeepholeValidationError, None),
+        ("rap.motion.wrong-reg", "rap", 4, MotionValidationError, ()),
+        ("rap.peephole.stale-holder", "rap", 3, PeepholeValidationError, ()),
         (
             "sched.reorder-dependent", "gra", 3, ScheduleValidationError,
-            PipelineConfig(schedule=True),
+            (("schedule", True),),
         ),
     ]
 
     @pytest.mark.parametrize("case", POOL_CASES, ids=lambda c: c[0])
     def test_error_class_survives_pool(self, case):
-        point, allocator, k, err_cls, config = case
-        harness = Harness(fallback=False, pipeline=PassPipeline(config))
-        specs = [CellSpec("sieve", allocator, k)]
+        point, allocator, k, err_cls, alloc_kwargs = case
+        harness = Harness(fallback=False)
+        specs = [CellSpec("sieve", allocator, k, alloc_kwargs=alloc_kwargs)]
         with faults.injected(FaultSpec(point, times=None)):
             with pytest.raises(err_cls) as info:
                 run_cells(specs, jobs=2, harness=harness)

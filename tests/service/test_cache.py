@@ -369,10 +369,10 @@ class TestIntegrity:
         assert scrubbed.stats()["scrub"] == {
             "scanned": 3, "ok": 1, "stale": 1, "corrupt": 1,
         }
-        # Corrupt deleted, stale left for format-upgrade forensics,
+        # Corrupt and stale deleted (no key can reach a stale file),
         # good still served.
         assert not os.path.exists(os.path.join(str(tmp_path), _hexkey("torn") + ".json"))
-        assert os.path.exists(os.path.join(str(tmp_path), _hexkey("old") + ".json"))
+        assert not os.path.exists(os.path.join(str(tmp_path), _hexkey("old") + ".json"))
         assert scrubbed.get(_hexkey("good")) is not None
 
     def test_legacy_unchecksummed_file_reads_as_stale(self, tmp_path):
@@ -418,7 +418,7 @@ class TestIntegrity:
 
     def test_canonical_json_image_reads_as_stale(self, tmp_path):
         # A checksummed file holding the image as JSON text was written
-        # before images were stored deflated: cold, left in place.
+        # before images were stored deflated: cold, and deleted.
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
         _write_document(path, json.dumps({"version": FORMAT_VERSION}))
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
@@ -427,7 +427,7 @@ class TestIntegrity:
         }
         assert cache.get(_hexkey("k1")) is None
         assert cache.stats()["corrupt"] == 0
-        assert os.path.exists(path)
+        assert not os.path.exists(path)
 
     def test_older_version_in_the_stored_encoding_is_stale(self, tmp_path):
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
@@ -437,6 +437,24 @@ class TestIntegrity:
         assert cache.stats()["scrub"]["stale"] == 1
         assert cache.get(_hexkey("k1")) is None
         assert cache.stats()["corrupt"] == 0
+
+    def test_other_codes_file_is_stale_and_deleted(self, tmp_path, monkeypatch):
+        # A deploy leaves the old code's files behind: intact, but no
+        # key of the new code can reach them.
+        key = _hexkey("k1")
+        path = os.path.join(str(tmp_path), key + ".json")
+        monkeypatch.setattr(cache_module, "_SOURCE_FINGERPRINT", "a" * 64)
+        ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path)).put(
+            key, _blob(key), {"output": [1]}
+        )
+        with open(path) as handle:
+            assert json.load(handle)["code"] == "a" * 64
+        monkeypatch.setattr(cache_module, "_SOURCE_FINGERPRINT", "b" * 64)
+        reopened = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        assert reopened.stats()["scrub"] == {
+            "scanned": 1, "ok": 0, "stale": 1, "corrupt": 0,
+        }
+        assert not os.path.exists(path)
 
     def test_persisted_image_is_base64_of_the_blob(self, tmp_path):
         cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
