@@ -13,14 +13,13 @@ instead — and, with the router, N of them behind one address:
 * :mod:`repro.service.server` — a JSON-over-TCP server (stdlib only)
   whose workers reuse the resilient
   :class:`~repro.resilience.pipeline.PassPipeline` and the allocator
-  fallback ladder.  Admission control is a bounded earliest-deadline-
-  first queue; a request's deadline also selects how ambitious an
-  allocator rung to start from (tight deadlines go straight to linear
-  scan, generous ones run full RAP).
+  fallback ladder, starting at the allocator the request names.
+  Admission control is a bounded earliest-deadline-first queue; a
+  request's deadline orders and expires its place in that queue.
 * :mod:`repro.service.workers` — the supervised **process** worker tier
   (the ``serve`` default): crash-isolated child processes under a
   per-job watchdog, exponential respawn backoff, a restart-storm
-  circuit breaker (``degraded`` health + rung demotion), and
+  circuit breaker (``degraded`` health in ``stats``), and
   poison-pill quarantine of compile keys that kill workers.
 * :mod:`repro.service.router` — the consistent-hash front end
   (``python -m repro router``): sha256 ring with virtual nodes over N
@@ -42,7 +41,7 @@ instead — and, with the router, N of them behind one address:
   service-facing default (ports, budgets, deadlines, supervision).
 
 See docs/SERVICE.md for the protocol and the operational semantics
-(cache keys, deadline policy, supervision, drain behaviour),
+(cache keys, admission and deadlines, supervision, drain behaviour),
 docs/OPERATIONS.md for deployment topologies and runbooks, and
 docs/ROBUSTNESS.md for the failure-mode matrix.
 """

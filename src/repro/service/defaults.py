@@ -66,14 +66,6 @@ POISON_THRESHOLD = 2
 
 # -- deadlines ---------------------------------------------------------------
 
-#: ``deadline_ms`` at or below this starts at the linear-scan rung.
-DEADLINE_LINEARSCAN_MS = 250.0
-#: ``deadline_ms`` at or below this (above the linearscan ceiling)
-#: starts at the SSA spill-then-color rung.
-DEADLINE_SSASPILL_MS = 500.0
-#: ``deadline_ms`` at or below this (above the ssaspill ceiling)
-#: starts at GRA.
-DEADLINE_GRA_MS = 1000.0
 #: How long a handler waits for a deadline-less job before cancelling.
 WAIT_S = 300.0
 #: Extra wait beyond a job's own deadline, covering worker bookkeeping.

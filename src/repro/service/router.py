@@ -22,10 +22,9 @@ keys shardable across daemons at all.
 
 The routing hash covers ``(source, allocator, k, schedule)`` — the
 request identity, not the full artifact key.  The backend derives the
-artifact key itself (folding in deadline-driven rung demotion, the
-execution fields, and its code fingerprint); the router only needs
-*affinity*: repeats of a request reach a backend that already holds its
-artifact.
+artifact key itself (folding in the execution fields and its code
+fingerprint); the router only needs *affinity*: repeats of a request
+reach a backend that already holds its artifact.
 
 With replication ``R = 1`` that is the ring primary, always.  With
 ``R > 1`` every member of a key's replica set holds the artifact (see

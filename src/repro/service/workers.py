@@ -30,9 +30,10 @@ Supervision policy (:class:`Supervision`):
   exponentially (``backoff_base_s`` doubling up to ``backoff_cap_s``),
   so a crash-looping worker cannot burn the host;
 * **restart-storm circuit breaker** — ``storm_threshold`` deaths across
-  the pool within ``storm_window_s`` flip the service ``degraded``:
-  new work is demoted to the linear-scan rung until the window passes
-  quietly (health recovers to ``healthy`` by itself);
+  the pool within ``storm_window_s`` flip the service ``degraded`` in
+  ``stats`` until the window passes quietly (health recovers to
+  ``healthy`` by itself); work keeps running on the allocator each
+  request asked for;
 * **poison-pill quarantine** — a compile key that kills or hangs
   workers ``poison_threshold`` times is quarantined: further requests
   for it are answered immediately with a ``poison-pill`` error and
@@ -354,9 +355,7 @@ class _WorkerSlot:
                         "deadline", "deadline expired while queued"
                     ),
                 }
-            response, prepared = service.prepare(
-                job.request, demote=self.supervisor.degraded
-            )
+            response, prepared = service.prepare(job.request)
             if response is not None:
                 return response
             assert prepared is not None

@@ -161,7 +161,6 @@ class TestArtifactIdentity:
             "entry": "main",
             "max_cycles": None,
             "filename": name,
-            "allocator_requested": rung,
             "chaos": None,
         }
         body = compile_cold(PassPipeline(PipelineConfig()), spec)

@@ -17,7 +17,6 @@ from repro.service.client import (
 from repro.service.loadgen import build_loadgen_parser, run_loadgen
 from repro.service.router import RouterService, build_router_parser
 from repro.service.server import (
-    DEFAULT_RUNG_POLICY,
     _DEFAULT_WAIT_S,
     _GRACE_S,
     CompileService,
@@ -66,12 +65,7 @@ class TestSupervision:
 
 
 class TestServerPolicy:
-    def test_rung_policy_and_waits(self):
-        assert DEFAULT_RUNG_POLICY == (
-            (defaults.DEADLINE_LINEARSCAN_MS, "linearscan"),
-            (defaults.DEADLINE_SSASPILL_MS, "ssaspill"),
-            (defaults.DEADLINE_GRA_MS, "gra"),
-        )
+    def test_handler_waits(self):
         assert _GRACE_S == defaults.GRACE_S
         assert _DEFAULT_WAIT_S == defaults.WAIT_S
 

@@ -134,7 +134,8 @@ class TestHashRing:
 
     def test_affinity_key_ignores_deadline(self):
         # Same request at different deadlines must land on the same
-        # backend (the deadline changes the rung, not the affinity).
+        # backend: the deadline orders the backend's queue and is not
+        # part of the artifact.
         base = {"op": "compile", "source": "x", "allocator": "rap", "k": 5}
         with_deadline = dict(base, deadline_ms=100.0)
         assert affinity_key(base) == affinity_key(with_deadline)
@@ -196,11 +197,11 @@ class TestRouting:
         # A request that can never succeed must not look retryable, nor
         # count as failovers against healthy backends.
         router, _ = pair
-        for deadline in ("soon", [1]):
-            response = router.handle(
-                {"op": "compile", "source": SOURCES[0], "allocator": "rap",
-                 "k": 5, "deadline_ms": deadline}
-            )
+        base = {"op": "compile", "source": SOURCES[0], "allocator": "rap",
+                "k": 5}
+        for bad in ({"deadline_ms": "soon"}, {"deadline_ms": [1]},
+                    {"k": 2}, {"k": "x"}):
+            response = router.handle(dict(base, **bad))
             assert not response["ok"]
             assert response["error"]["kind"] == "request"
             assert response["router_failovers"] == 0

@@ -1,4 +1,4 @@
-"""The compile daemon: cache semantics, deadline policy, admission
+"""The compile daemon: cache semantics, request validation, admission
 control, error transport, drain, and the TCP layer."""
 
 import os
@@ -19,12 +19,10 @@ from repro.resilience.errors import (
 from repro.service.cache import ArtifactCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import (
-    DEFAULT_RUNG_POLICY,
     CompileServer,
     CompileService,
     DeadlineQueue,
     _Job,
-    rung_for_deadline,
 )
 
 SIEVE_LIKE = """
@@ -56,31 +54,6 @@ def service():
     svc.start()
     yield svc
     svc.drain(timeout=5.0)
-
-
-class TestRungPolicy:
-    def test_default_policy_table(self):
-        assert rung_for_deadline("rap", None)[0] == "rap"
-        assert rung_for_deadline("rap", 100)[0] == "linearscan"
-        assert rung_for_deadline("rap", 250)[0] == "linearscan"
-        assert rung_for_deadline("rap", 400)[0] == "ssaspill"
-        assert rung_for_deadline("rap", 500)[0] == "ssaspill"
-        assert rung_for_deadline("rap", 600)[0] == "gra"
-        assert rung_for_deadline("rap", 5000)[0] == "rap"
-
-    def test_policy_never_upgrades(self):
-        # A generous deadline must not promote a cheap request to RAP.
-        assert rung_for_deadline("linearscan", 5000)[0] == "linearscan"
-        assert rung_for_deadline("ssaspill", 5000)[0] == "ssaspill"
-        assert rung_for_deadline("gra", 600)[0] == "gra"
-        assert rung_for_deadline("spillall", 100)[0] == "spillall"
-        # A mid-band deadline still moves a RAP request down to the SSA
-        # rung, but never moves an already-cheaper request up to it.
-        assert rung_for_deadline("linearscan", 400)[0] == "linearscan"
-
-    def test_reason_is_explanatory(self):
-        _, reason = rung_for_deadline("rap", 100)
-        assert "100" in reason and "linearscan" in reason
 
 
 class TestDeadlineQueue:
@@ -171,15 +144,6 @@ class TestColdAndWarm:
         assert tight["error"]["kind"] == "stage"
         assert "cycle budget exceeded" in tight["error"]["message"]
 
-    def test_cache_hit_echoes_the_requested_allocator(self, service):
-        # A tight deadline and an explicit linearscan request start at
-        # the same rung, so the second is a hit on the first's entry.
-        demoted = service.submit(compile_request(deadline_ms=100))
-        assert demoted["allocator_requested"] == "rap"
-        direct = service.submit(compile_request(allocator="linearscan"))
-        assert direct["cache"] == "hit" and direct["key"] == demoted["key"]
-        assert direct["allocator_requested"] == "linearscan"
-
     def test_provided_empty_cache_is_not_discarded(self, tmp_path):
         # Regression: an empty ArtifactCache is falsy (__len__ == 0), so
         # `cache or ArtifactCache()` silently replaced it and dropped the
@@ -213,13 +177,27 @@ class TestColdAndWarm:
         finally:
             second.drain(timeout=5.0)
 
-    def test_deadline_rung_reported(self, service):
-        tight = service.submit(compile_request(deadline_ms=100))
-        assert tight["ok"]
-        assert tight["rung_start"] == "linearscan"
-        assert tight["allocator_used"] == "linearscan"
-        generous = service.submit(compile_request(deadline_ms=60_000))
-        assert generous["rung_start"] == "rap"
+
+#: (field, value) pairs a compile request must be refused for: ``k`` an
+#: int >= 3, ``allocator`` a ladder rung, ``schedule``/``execute``
+#: bools, ``entry`` a non-empty string, ``max_cycles`` an int >= 1.
+MALFORMED_FIELDS = [
+    ("k", 0),
+    ("k", 2),
+    ("k", True),
+    ("k", "x"),
+    ("k", 5.0),
+    ("allocator", ["rap"]),
+    ("allocator", 5),
+    ("schedule", "false"),
+    ("execute", 1),
+    ("entry", 5),
+    ("entry", ""),
+    ("max_cycles", "x"),
+    ("max_cycles", 0),
+    ("max_cycles", -5),
+    ("max_cycles", True),
+]
 
 
 class TestErrorTransport:
@@ -249,6 +227,21 @@ class TestErrorTransport:
         assert response["error"]["kind"] == "request"
         assert "deadline_ms" in response["error"]["message"]
         # Never admitted: nothing was queued, nothing counts as a request.
+        assert service.submit({"op": "stats"})["requests"] == 0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        MALFORMED_FIELDS,
+        ids=[f"{field}={value!r}" for field, value in MALFORMED_FIELDS],
+    )
+    def test_malformed_field_refused_before_admission(
+        self, service, field, value
+    ):
+        response = service.submit(compile_request(**{field: value}))
+        assert not response["ok"]
+        assert response["error"]["kind"] == "request"
+        assert field in response["error"]["message"]
+        # Never admitted: no queue slot, no worker, no request counted.
         assert service.submit({"op": "stats"})["requests"] == 0
 
     def test_validation_error_kind_thaws_to_subclass(self):
@@ -327,14 +320,11 @@ class TestAdmissionControl:
     def test_saturated_queue_serves_tight_deadlines_first(self):
         # The pinned EDF property: with one worker busy and generous
         # requests queued, a late-arriving tight-deadline request is
-        # served next (on the cheap rung), and nothing starves.
+        # served next, and nothing starves.
         service = CompileService(
             workers=1,
             queue_limit=16,
             worker_delay_s=0.12,
-            # Rescaled policy so the "tight" class is still generous
-            # enough to actually finish behind a 120ms stall.
-            rung_policy=((5_000.0, "linearscan"), (20_000.0, "gra")),
         )
         service.start()
         try:
@@ -365,8 +355,6 @@ class TestAdmissionControl:
             completion = [name for name, _ in results]
             # The tight request jumped every queued generous one.
             assert completion.index("tight") <= 1
-            assert by_name["tight"]["allocator_used"] == "linearscan"
-            assert by_name["tight"]["rung_start"] == "linearscan"
         finally:
             service.drain(timeout=5.0)
 
