@@ -813,8 +813,9 @@ def _refused_put(key: str, message: str) -> Dict[str, Any]:
 def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     """Why a compile request must be refused before admission, or
     ``None`` when every field it carries has the right type and range.
-    ``max_cycles`` and ``deadline_ms`` may be absent or null.  ``type(x)
-    is int`` refuses bools, which ``isinstance`` would let through."""
+    ``filename``, ``max_cycles`` and ``deadline_ms`` may be absent or
+    null.  ``type(x) is int`` refuses bools, which ``isinstance`` would
+    let through."""
     source = request.get("source")
     if not isinstance(source, str) or not source:
         return "missing source"
@@ -831,6 +832,9 @@ def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     entry = request.get("entry", "main")
     if not isinstance(entry, str) or not entry:
         return f"entry must be a non-empty string, got {entry!r}"
+    filename = request.get("filename")
+    if filename is not None and not isinstance(filename, str):
+        return f"filename must be a string, got {filename!r}"
     max_cycles = request.get("max_cycles")
     if max_cycles is not None and (type(max_cycles) is not int or max_cycles < 1):
         return f"max_cycles must be an integer >= 1, got {max_cycles!r}"

@@ -193,6 +193,8 @@ MALFORMED_FIELDS = [
     ("execute", 1),
     ("entry", 5),
     ("entry", ""),
+    ("filename", 5),
+    ("filename", ["a"]),
     ("max_cycles", "x"),
     ("max_cycles", 0),
     ("max_cycles", -5),
