@@ -65,12 +65,7 @@ class Reg:
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # unpickled from a pre-cache-field blob
-            value = (self.index << 1) | (self.kind == "v")
-            object.__setattr__(self, "_hash", value)
-            return value
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if other.__class__ is Reg:

@@ -125,8 +125,6 @@ class RAPContext:
             self._planning_ok = True
         return self._analysis
 
-    fresh_analysis = analysis
-
     def planning_analysis(self) -> FunctionAnalysis:
         """The round-start snapshot, tolerated stale across same-round
         spill insertions.
