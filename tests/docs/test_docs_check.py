@@ -37,12 +37,6 @@ DOC_FILES = sorted(
     + list((REPO / "docs").glob("*.md"))
 )
 
-#: flags that belong to tools outside this repository (documented
-#: commands like ``pytest benchmarks/ --benchmark-only``).
-EXTERNAL_FLAGS = {
-    "--benchmark-only",  # pytest-benchmark
-}
-
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
 
@@ -68,7 +62,7 @@ def _help_flags(main):
 
 
 def known_flags():
-    flags = set(EXTERNAL_FLAGS)
+    flags = set()
     for factory in (
         cli.build_parser,
         build_serve_parser,
