@@ -39,11 +39,11 @@ exactly like freshly allocated ones.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import zlib
 from typing import Any, Dict, Iterator, Optional
 
+from ..digest import sha256
 from ..ir.iloc import Instr, Op, Reg, Symbol
 from ..pdg.graph import GlobalVar
 from .machine import FunctionImage, ProgramImage
@@ -239,7 +239,7 @@ def inflate_image(blob: bytes, limit: Optional[int] = None) -> bytes:
 def image_sha256(blob: bytes, limit: Optional[int] = None) -> str:
     """An artifact's identity: the sha256 of its inflated canonical JSON
     (raises :class:`ImageDecodeError` like :func:`inflate_image`)."""
-    return hashlib.sha256(inflate_image(blob, limit)).hexdigest()
+    return sha256(inflate_image(blob, limit)).hexdigest()
 
 
 def loads_image(blob: bytes) -> Optional[ProgramImage]:

@@ -69,7 +69,6 @@ per deploy.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import threading
@@ -77,6 +76,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..digest import sha256
 from ..interp.serialize import FORMAT_VERSION, inflate_image
 from . import defaults
 
@@ -102,7 +102,7 @@ def source_fingerprint(root: Optional[str] = None) -> str:
     if root is None and _SOURCE_FINGERPRINT is not None:
         return _SOURCE_FINGERPRINT
     base = root or os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    hasher = hashlib.sha256()
+    hasher = sha256()
     for dirpath, dirnames, filenames in os.walk(base):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
         for name in sorted(f for f in filenames if f.endswith(".py")):
@@ -121,7 +121,7 @@ def source_fingerprint(root: Optional[str] = None) -> str:
 
 def _digest(payload: Any) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _document_digest(meta: Dict[str, Any], image: str) -> str:

@@ -118,7 +118,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import hashlib
 import json
 import math
 import sys
@@ -127,6 +126,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..digest import sha256
 from . import defaults
 from .client import (
     JsonLinesServer,
@@ -152,7 +152,7 @@ def affinity_key(request: Dict[str, Any]) -> str:
         "schedule": bool(request.get("schedule", False)),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class HashRing:
@@ -174,7 +174,7 @@ class HashRing:
         points: List[Tuple[int, str]] = []
         for node in self.nodes:
             for index in range(vnodes):
-                digest = hashlib.sha256(f"{node}#{index}".encode()).digest()
+                digest = sha256(f"{node}#{index}".encode()).digest()
                 points.append((int.from_bytes(digest[:8], "big"), node))
         points.sort()
         self._positions = [position for position, _ in points]
@@ -182,7 +182,7 @@ class HashRing:
 
     @staticmethod
     def _position(key: str) -> int:
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        digest = sha256(key.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
 
     def primary(self, key: str) -> str:

@@ -663,8 +663,7 @@ class CompileService:
         # with the probed key) already counted its hit-or-miss once;
         # the second lookup is replication plumbing and stays out of
         # the telemetry.
-        probed = request.get("probed")
-        if isinstance(probed, str) and probed == key:
+        if request.get("probed") == key:
             entry = self.cache.fetch(key)
         else:
             entry = self.cache.get(key)
@@ -698,7 +697,6 @@ class CompileService:
                 },
                 None,
             )
-        chaos = request.get("chaos")
         return None, PreparedJob(
             key=key,
             rung=allocator,
@@ -709,7 +707,7 @@ class CompileService:
             entry=entry_name,
             max_cycles=max_cycles,
             filename=request.get("filename", "<request>"),
-            chaos=chaos if isinstance(chaos, str) else None,
+            chaos=request.get("chaos"),
             started=started,
         )
 
@@ -810,12 +808,27 @@ def _refused_put(key: str, message: str) -> Dict[str, Any]:
     }
 
 
+#: Every field a compile request may carry: the client's, plus the
+#: router's ``warm_only`` probe flag and the ``probed`` key it marks the
+#: compile after a probe with.
+_COMPILE_FIELDS = frozenset(
+    {
+        "op", "source", "allocator", "k", "schedule", "execute", "entry",
+        "filename", "max_cycles", "deadline_ms", "chaos", "warm_only",
+        "probed",
+    }
+)
+
+
 def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     """Why a compile request must be refused before admission, or
-    ``None`` when every field it carries has the right type and range.
-    ``filename``, ``max_cycles`` and ``deadline_ms`` may be absent or
-    null.  ``type(x) is int`` refuses bools, which ``isinstance`` would
-    let through."""
+    ``None`` when every field it carries is known and has the right
+    type and range.  ``filename``, ``max_cycles``, ``deadline_ms`` and
+    ``chaos`` may be absent or null.  ``type(x) is int`` refuses bools,
+    which ``isinstance`` would let through."""
+    for name in request:
+        if name not in _COMPILE_FIELDS:
+            return f"unknown field {name!r}"
     source = request.get("source")
     if not isinstance(source, str) or not source:
         return "missing source"
@@ -825,7 +838,7 @@ def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     k = request.get("k", defaults.K)
     if type(k) is not int or k < 3:
         return f"k must be an integer >= 3, got {k!r}"
-    for flag in ("schedule", "execute"):
+    for flag in ("schedule", "execute", "warm_only"):
         value = request.get(flag, False)
         if not isinstance(value, bool):
             return f"{flag} must be true or false, got {value!r}"
@@ -841,6 +854,12 @@ def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     deadline_ms = request.get("deadline_ms")
     if deadline_ms is not None and not _finite_number(deadline_ms):
         return f"deadline_ms must be a finite number, got {deadline_ms!r}"
+    chaos = request.get("chaos")
+    if chaos is not None and chaos not in ("crash", "hang"):
+        return f"chaos must be null, 'crash' or 'hang', got {chaos!r}"
+    probed = request.get("probed")
+    if "probed" in request and (not isinstance(probed, str) or not probed):
+        return f"probed must be a non-empty string, got {probed!r}"
     return None
 
 

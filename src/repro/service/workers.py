@@ -49,7 +49,9 @@ Chaos probes: when the service was started with ``chaos_enabled`` (the
 "crash"`` (the child exits hard mid-job, modelling an OS kill) or
 ``"chaos": "hang"`` (the child sleeps until the watchdog fires).  The
 flag exists for the chaos harness and CI only; without it the field is
-ignored and the request compiles normally.
+ignored and the request compiles normally.  Any other ``chaos`` value
+is refused before admission
+(:meth:`repro.service.server.CompileService.submit`).
 """
 
 from __future__ import annotations

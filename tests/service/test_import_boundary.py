@@ -5,6 +5,10 @@ run, so each check runs its scenario in a fresh interpreter and reads
 back that interpreter's ``sys.modules``.  Keeping the compiler out of
 the daemon is also what keeps the fork safe: the child imports only
 modules its parent never held an import lock on.
+
+No fleet role loads OpenSSL either: the service's digests come from
+:mod:`repro.digest`, so ``hashlib``'s ``_hashlib`` (and libcrypto with
+it) must stay out of every role's ``sys.modules``.
 """
 
 import json
@@ -12,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -33,6 +39,7 @@ COMPILER = (
 
 FLEET = """
 import json, sys, threading
+preloaded = "_hashlib" in sys.modules
 from repro.service.router import RouterService
 from repro.service.server import CompileServer, CompileService
 from repro.service.workers import Supervision
@@ -56,7 +63,27 @@ answers = [compile(1), compile(2, chaos="crash"), compile(3)]
 router.stop()
 server.drain_and_shutdown(timeout=10.0)
 server.server_close()
-print(json.dumps({"answers": answers, "modules": sorted(sys.modules)}))
+print(json.dumps({"answers": answers, "preloaded": preloaded,
+                  "modules": sorted(sys.modules)}))
+"""
+
+#: What a worker child loads: ``_worker_child_main``'s imports, then one
+#: cold compile that executes (the fork inherits the daemon's modules,
+#: which ``FLEET`` covers).
+WORKER = """
+import json, sys
+preloaded = "_hashlib" in sys.modules
+from repro import compiler, regalloc
+from repro.resilience.pipeline import PassPipeline
+from repro.service.server import compile_cold
+
+body = compile_cold(PassPipeline(), {
+    "source": "void main() { print(4); }", "rung": "rap", "k": 5,
+    "schedule": False, "execute": True, "entry": "main",
+    "max_cycles": None, "filename": "<request>", "chaos": None,
+})
+print(json.dumps({"output": body["output"], "preloaded": preloaded,
+                  "modules": sorted(sys.modules)}))
 """
 
 
@@ -81,11 +108,31 @@ def _compiler_modules(modules):
     )
 
 
-def test_daemon_and_router_serve_without_the_compiler():
-    result = _run(FLEET)
+@pytest.fixture(scope="module")
+def fleet():
+    return _run(FLEET)
+
+
+def _assert_no_openssl(result):
+    if result["preloaded"]:
+        pytest.skip("the interpreter loaded _hashlib before repro was imported")
+    assert "_hashlib" not in result["modules"]
+
+
+def test_daemon_and_router_serve_without_the_compiler(fleet):
     # compiled, crashed the worker, compiled again on the respawned one
-    assert result["answers"] == [[1], "worker-crash", [3]]
-    assert _compiler_modules(result["modules"]) == []
+    assert fleet["answers"] == [[1], "worker-crash", [3]]
+    assert _compiler_modules(fleet["modules"]) == []
+
+
+def test_router_and_daemon_never_load_openssl(fleet):
+    _assert_no_openssl(fleet)
+
+
+def test_worker_compile_never_loads_openssl():
+    result = _run(WORKER)
+    assert result["output"] == [4]
+    _assert_no_openssl(result)
 
 
 def test_router_import_loads_neither_compiler_nor_workers():

@@ -199,6 +199,16 @@ MALFORMED_FIELDS = [
     ("max_cycles", 0),
     ("max_cycles", -5),
     ("max_cycles", True),
+    ("exectue", False),
+    ("bogus", 1),
+    ("chaos", 5),
+    ("chaos", ["crash"]),
+    ("chaos", "explode"),
+    ("warm_only", 1),
+    ("warm_only", "true"),
+    ("probed", 5),
+    ("probed", ""),
+    ("probed", None),
 ]
 
 
