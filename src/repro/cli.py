@@ -27,7 +27,6 @@ Usage (``python -m repro ...``):
     python -m repro router --backend 127.0.0.1:9363 --backend 127.0.0.1:9364
     python -m repro router-admin remove 127.0.0.1:9363  # rolling-restart step
     python -m repro loadgen --requests 40 --port 9363  # hit-rate/determinism drill
-    python -m repro loadgen --chaos --retries 3    # chaos harness (serve --chaos)
     python -m repro loadgen --rolling-restart --backends 3  # restart under load
 
 The driver is a thin layer over the library; everything it prints can be

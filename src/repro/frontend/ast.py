@@ -228,22 +228,3 @@ class Program:
 
     globals: List[VarDecl] = field(default_factory=list)
     functions: List[FuncDecl] = field(default_factory=list)
-
-    def function(self, name: str) -> FuncDecl:
-        for func in self.functions:
-            if func.name == name:
-                return func
-        raise KeyError(name)
-
-
-def walk_stmts(stmts: List[Stmt]):
-    """Yield every statement in ``stmts`` recursively (pre-order)."""
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, If):
-            yield from walk_stmts(stmt.then_body)
-            yield from walk_stmts(stmt.else_body)
-        elif isinstance(stmt, While):
-            yield from walk_stmts(stmt.body)
-        elif isinstance(stmt, For):
-            yield from walk_stmts(stmt.body)

@@ -106,8 +106,6 @@ def instr_to_dict(instr: Instr) -> Dict[str, Any]:
         out["label"] = instr.label
     if instr.label_false is not None:
         out["label_false"] = instr.label_false
-    if instr.comment:
-        out["comment"] = instr.comment
     return out
 
 
@@ -124,7 +122,6 @@ def instr_from_dict(data: Dict[str, Any]) -> Instr:
         callee=data.get("callee"),
         label=data.get("label"),
         label_false=data.get("label_false"),
-        comment=data.get("comment", ""),
     )
 
 

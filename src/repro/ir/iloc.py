@@ -228,7 +228,6 @@ class Instr:
         "callee",
         "label",
         "label_false",
-        "comment",
     )
 
     def __init__(
@@ -241,7 +240,6 @@ class Instr:
         callee: Optional[str] = None,
         label: Optional[str] = None,
         label_false: Optional[str] = None,
-        comment: str = "",
     ):
         self.op = op
         self.srcs: List[Reg] = list(srcs) if srcs else []
@@ -251,7 +249,6 @@ class Instr:
         self.callee = callee
         self.label = label
         self.label_false = label_false
-        self.comment = comment
 
     # -- operand views -------------------------------------------------------
 
@@ -296,7 +293,6 @@ class Instr:
             self.callee,
             self.label,
             self.label_false,
-            self.comment,
         )
 
     def __deepcopy__(self, memo: dict) -> "Instr":

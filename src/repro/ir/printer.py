@@ -20,8 +20,7 @@ def format_code(code: Sequence[Instr]) -> str:
         if instr.op is Op.LABEL:
             lines.append(f"{instr.label}:")
         else:
-            comment = f"    ; {instr.comment}" if instr.comment else ""
-            lines.append(f"    {instr}{comment}")
+            lines.append(f"    {instr}")
     return "\n".join(lines)
 
 

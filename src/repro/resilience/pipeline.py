@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from ..frontend import analyze, parse
 from ..frontend.errors import FrontendError
 from ..interp.machine import MAX_CYCLES, FunctionImage, Machine, ProgramImage
-from ..interp.memory import MachineFault
 from ..interp.stats import ExecStats
 from ..ir.builder import build_module
 from ..ir.spillcheck import check_spill_discipline
@@ -153,8 +152,6 @@ class PassPipeline:
         except FrontendError as err:
             if not self.config.wrap_frontend_errors:
                 raise
-            raise StageError(str(err), self.context(stage, **ctx_kw), err) from err
-        except MachineFault as err:
             raise StageError(str(err), self.context(stage, **ctx_kw), err) from err
         except Exception as err:
             raise StageError(str(err), self.context(stage, **ctx_kw), err) from err

@@ -18,9 +18,10 @@ instead — and, with the router, N of them behind one address:
   request's deadline orders and expires its place in that queue.
 * :mod:`repro.service.workers` — the supervised **process** worker tier
   (the ``serve`` default): crash-isolated child processes under a
-  per-job watchdog, exponential respawn backoff, a restart-storm
-  circuit breaker (``degraded`` health in ``stats``), and
-  poison-pill quarantine of compile keys that kill workers.
+  per-job watchdog, exponential respawn backoff, and poison-pill
+  quarantine of compile keys that kill workers.  Failure drills
+  signal these children from outside: a SIGKILL is a crash, a SIGSTOP
+  a hang.
 * :mod:`repro.service.router` — the consistent-hash front end
   (``python -m repro router``): sha256 ring with virtual nodes over N
   backend daemons, background health probes, transport-failover to the
@@ -31,10 +32,8 @@ instead — and, with the router, N of them behind one address:
   opt-in retry (exponential backoff + jitter) of transient failures,
   and the JSON-lines daemon loop that ``serve`` and ``router`` share.
 * :mod:`repro.service.loadgen` — a closed-loop correctness drill
-  reporting typed answers, determinism mismatches, and cache hit rate;
-  a ``--chaos`` mode that injects worker crashes, hangs, and malformed
-  requests mid-run and asserts every request is answered exactly once;
-  and a ``--rolling-restart`` drill that restarts every backend of a
+  reporting typed answers, unanswered requests, determinism
+  mismatches, and cache hit rate, and a ``--rolling-restart`` drill that restarts every backend of a
   replicating fleet under load with zero lost requests.  Latency and
   throughput are perfbench's ``service`` workload.
 * :mod:`repro.service.defaults` — the single source of truth for every

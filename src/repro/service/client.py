@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import signal
 import socket
@@ -127,19 +128,29 @@ def _protocol_error(kind: str, message: str) -> ServiceError:
     return ServiceError(_error_payload(kind, message))
 
 
+def _valid_backoff(backoff: float) -> bool:
+    """A retry base delay ``time.sleep`` accepts at every attempt."""
+    return math.isfinite(backoff) and backoff >= 0
+
+
 class ServiceClient:
     """One connection to the daemon; usable as a context manager.
 
     ``retries``/``backoff`` arm the retry loop in :meth:`checked` (and
     everything built on it) — see the module docstring for which
     failures are replayed.  ``retries=0`` (the default) keeps the
-    historical fail-fast behavior.
+    historical fail-fast behavior.  A ``backoff`` that is not finite
+    and non-negative raises :class:`ValueError` before connecting.
     """
 
     def __init__(self, host: str = defaults.HOST, port: int = defaults.PORT,
                  timeout: float = defaults.CLIENT_TIMEOUT_S,
                  retries: int = defaults.CLIENT_RETRIES,
                  backoff: float = defaults.CLIENT_BACKOFF_S):
+        if not _valid_backoff(backoff):
+            raise ValueError(
+                f"backoff must be finite and non-negative, got {backoff}"
+            )
         self._host = host
         self._port = port
         self._timeout = timeout
@@ -264,7 +275,6 @@ class ServiceClient:
         deadline_ms: Optional[float] = None,
         max_cycles: Optional[int] = None,
         filename: Optional[str] = None,
-        chaos: Optional[str] = None,
     ) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "op": "compile",
@@ -281,8 +291,6 @@ class ServiceClient:
             payload["max_cycles"] = max_cycles
         if filename is not None:
             payload["filename"] = filename
-        if chaos is not None:
-            payload["chaos"] = chaos
         return self.checked(payload)
 
 
@@ -295,7 +303,9 @@ def connect_with_retry(
 ) -> ServiceClient:
     """Build a :class:`ServiceClient`, retrying connection establishment
     itself — for clients racing a daemon that is still binding its port
-    (the chaos harness, CI smoke jobs)."""
+    (failure drills, CI smoke jobs).  A bad ``backoff`` raises
+    :class:`ValueError` before the first attempt, as it does in
+    :class:`ServiceClient`."""
     attempt = 0
     while True:
         try:
@@ -428,7 +438,12 @@ def build_request_parser() -> argparse.ArgumentParser:
 
 def request_main(argv: Optional[Any] = None) -> int:
     """``python -m repro request FILE``: one compile against a daemon."""
-    args = build_request_parser().parse_args(argv)
+    parser = build_request_parser()
+    args = parser.parse_args(argv)
+    if not _valid_backoff(args.backoff):
+        parser.error(
+            f"--backoff must be finite and non-negative, got {args.backoff}"
+        )
 
     with open(args.file) as handle:
         source = handle.read()

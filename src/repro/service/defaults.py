@@ -57,10 +57,6 @@ JOB_TIMEOUT_S = 120.0
 #: death of the same slot, capped.
 BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
-#: Worker deaths across the pool within the window that flip the
-#: service ``degraded``.
-STORM_THRESHOLD = 3
-STORM_WINDOW_S = 30.0
 #: Crashes/hangs attributed to one compile key before quarantine.
 POISON_THRESHOLD = 2
 

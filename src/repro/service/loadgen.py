@@ -16,39 +16,14 @@ this run's responses* — plus a determinism check: every response for the
 same cache key must carry the same image sha256 and execution output;
 any disagreement is counted as a mismatch (and fails the CI smoke job).
 The ``artifacts`` map in the JSON report (cache key -> image sha256)
-lets two runs be compared for byte-identical warm paths — the chaos
-smoke job diffs a chaos run against a chaos-free one.
+lets two runs be compared for byte-identical warm paths — CI diffs a
+run taken during a failure drill against a drill-free one.  The drill itself (worker SIGKILLs and SIGSTOPs,
+malformed requests) runs beside loadgen, from outside the daemon.
 
 ``--rolling-restart`` needs no running daemon: it spawns its own
 backends and a replicating router, then restarts every backend while
 back-to-back :func:`run_loadgen` passes keep the fleet under load (see
 :func:`run_rolling_restart`).
-
-Chaos mode
-----------
-
-``--chaos`` (requires a daemon started with ``serve --chaos``)
-interleaves failure probes with the normal closed-loop mix:
-
-* **crash probes** — requests carrying ``chaos: "crash"`` that make the
-  worker process exit hard mid-compile; the expected answer is a typed
-  ``worker-crash`` error;
-* **hang probes** — ``chaos: "hang"`` wedges the worker until the
-  watchdog SIGKILLs it; the expected answer is ``worker-timeout``
-  within watchdog + grace (the probe's client-observed latency is
-  reported so CI can assert it beat the socket timeout);
-* **malformed probes** — protocol garbage (missing source, unknown op)
-  that must come back as typed ``request`` errors, never a hung
-  connection or a traceback.
-
-Each probe uses a *distinct* source text so chaos strikes land on
-dedicated cache keys and never quarantine the normal mix.  Normal
-workers run with client retries armed (``--retries``), so transient
-``worker-crash``/``admission`` answers are replayed — safe because
-compiles are idempotent.  The invariant under test: **every request
-gets exactly one typed answer** — ``unanswered`` (a raw socket error or
-a request with no response) must end at zero, errors included, and the
-run fails otherwise.
 """
 
 from __future__ import annotations
@@ -67,13 +42,6 @@ from .client import ServiceError, connect_with_retry
 
 #: Small, fast bench programs — the default mix base.
 DEFAULT_PROGRAMS = ("sieve", "hanoi")
-
-#: Base source for chaos probes; each probe appends a distinguishing
-#: comment so every probe owns a unique cache key (strikes must never
-#: quarantine the normal mix, and two crash probes must not pool
-#: strikes into a quarantine that would hide the worker-crash path).
-_PROBE_SOURCE = "int main() { return 0; }\n"
-
 
 def default_mix(
     programs: Sequence[str] = DEFAULT_PROGRAMS,
@@ -113,8 +81,6 @@ class LoadgenReport:
     error_kinds: Dict[str, int] = field(default_factory=dict)
     #: cache key -> image sha256, for cross-run byte-identity diffs.
     artifacts: Dict[str, str] = field(default_factory=dict, repr=False)
-    #: chaos-mode probe accounting (empty when chaos was off).
-    chaos: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -122,7 +88,7 @@ class LoadgenReport:
         return self.hits / answered if answered else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "requests": self.requests,
             "ok": self.ok,
             "errors": self.errors,
@@ -135,9 +101,6 @@ class LoadgenReport:
             "error_kinds": dict(self.error_kinds),
             "artifacts": dict(self.artifacts),
         }
-        if self.chaos:
-            out["chaos"] = dict(self.chaos)
-        return out
 
     def render(self, stream=None) -> None:
         stream = stream or sys.stdout
@@ -153,15 +116,6 @@ class LoadgenReport:
             f"{self.mismatches} determinism mismatches",
             file=stream,
         )
-        if self.chaos:
-            print(
-                f"[loadgen] chaos: {self.chaos['probes']} probes "
-                f"({self.chaos['crashes']} crash, {self.chaos['hangs']} hang, "
-                f"{self.chaos['malformed']} malformed), "
-                f"{self.chaos['unanswered']} unanswered, "
-                f"kinds {self.chaos['answer_kinds']}",
-                file=stream,
-            )
 
 
 #: Error kinds raised below the response layer: no typed answer from the
@@ -177,100 +131,6 @@ def _count(report: LoadgenReport, lock: threading.Lock, kind: str) -> None:
             report.unanswered += 1
 
 
-def _run_chaos_probes(
-    host: str,
-    port: int,
-    report: LoadgenReport,
-    lock: threading.Lock,
-    crashes: int,
-    hangs: int,
-    malformed: int,
-    allocator: str,
-    k: int,
-    probe_gap_s: float,
-) -> None:
-    """Fire failure probes while the normal mix churns.
-
-    Every probe must get exactly one typed answer; anything else counts
-    as chaos-unanswered (and fails the run).  Probes never retry: the
-    typed error *is* the expected answer.
-    """
-    chaos: Dict[str, Any] = {
-        "probes": 0,
-        "crashes": crashes,
-        "hangs": hangs,
-        "malformed": malformed,
-        "unanswered": 0,
-        "answer_kinds": {},
-        "hang_latency_ms": [],
-    }
-
-    def answer(kind: str) -> None:
-        chaos["answer_kinds"][kind] = chaos["answer_kinds"].get(kind, 0) + 1
-
-    #: (chaos directive, probe tag) per probe; malformed probes are raw
-    #: payloads exercising the protocol layer instead.
-    plan: List[Tuple[str, int]] = (
-        [("crash", i) for i in range(crashes)]
-        + [("hang", i) for i in range(hangs)]
-    )
-    try:
-        client = connect_with_retry(host, port, retries=3, backoff=0.1)
-        # Connection retries only: a retried crash probe would strike
-        # its own key into poison-pill quarantine and mask the
-        # worker-crash answer the probe exists to observe.
-        client.retries = 0
-    except ServiceError:
-        with lock:
-            chaos["unanswered"] += len(plan) + malformed
-            report.chaos = chaos
-        return
-    with client:
-        for directive, index in plan:
-            chaos["probes"] += 1
-            source = f"{_PROBE_SOURCE}// chaos {directive} probe #{index}\n"
-            started = time.perf_counter()
-            try:
-                client.compile(
-                    source,
-                    allocator=allocator,
-                    k=k,
-                    chaos=directive,
-                    filename=f"chaos:{directive}:{index}",
-                )
-                answer("ok")  # chaos disabled server-side: still typed
-            except ServiceError as err:
-                answer(err.kind)
-                if err.kind in _UNANSWERED:
-                    chaos["unanswered"] += 1
-                    try:
-                        client._reconnect()
-                    except OSError:
-                        break
-                elif directive == "hang":
-                    chaos["hang_latency_ms"].append(
-                        round((time.perf_counter() - started) * 1000.0, 1)
-                    )
-            time.sleep(probe_gap_s)
-        for index in range(malformed):
-            chaos["probes"] += 1
-            payload = (
-                {"op": "compile", "k": k}  # missing source
-                if index % 2 == 0
-                else {"op": f"no-such-op-{index}"}
-            )
-            try:
-                client.checked(payload)
-                answer("ok")
-            except ServiceError as err:
-                answer(err.kind)
-                if err.kind in _UNANSWERED:
-                    chaos["unanswered"] += 1
-            time.sleep(probe_gap_s)
-    with lock:
-        report.chaos = chaos
-
-
 def run_loadgen(
     host: str = defaults.HOST,
     port: int = defaults.PORT,
@@ -282,20 +142,13 @@ def run_loadgen(
     schedule: bool = False,
     deadline_ms: Optional[float] = None,
     retries: int = 0,
-    chaos: bool = False,
-    chaos_crashes: int = 2,
-    chaos_hangs: int = 1,
-    chaos_malformed: int = 2,
-    chaos_probe_gap_s: float = 0.05,
     stream=None,
 ) -> LoadgenReport:
     """Drive the daemon with a closed loop of ``workers`` clients.
 
     Request ``i`` uses ``mix[i % len(mix)]``, so repeated runs offer an
     identical, fully repeatable request stream — the property the warm
-    hit-rate check in CI relies on.  With ``chaos=True`` a probe
-    thread interleaves crash/hang/malformed probes with the normal mix
-    (see the module docstring).
+    hit-rate check in CI relies on.
     """
     for name, value in (("requests", requests), ("workers", workers)):
         if value < 1:
@@ -368,19 +221,6 @@ def run_loadgen(
         threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
         for i in range(workers)
     ]
-    if chaos:
-        threads.append(
-            threading.Thread(
-                target=_run_chaos_probes,
-                args=(
-                    host, port, report, lock,
-                    chaos_crashes, chaos_hangs, chaos_malformed,
-                    allocator, k, chaos_probe_gap_s,
-                ),
-                name="loadgen-chaos",
-                daemon=True,
-            )
-        )
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -702,14 +542,6 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
              "worker-crash, no-backend, transport)",
     )
     parser.add_argument(
-        "--chaos", action="store_true",
-        help="interleave crash/hang/malformed probes (daemon must run "
-             "with serve --chaos)",
-    )
-    parser.add_argument("--chaos-crashes", type=int, default=2)
-    parser.add_argument("--chaos-hangs", type=int, default=1)
-    parser.add_argument("--chaos-malformed", type=int, default=2)
-    parser.add_argument(
         "--rolling-restart", action="store_true",
         help="self-contained drill: spawn backends + a replicating "
              "router, then restart every backend under load asserting "
@@ -738,9 +570,6 @@ def loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
     for flag, value, least in (
         ("--requests", args.requests, 1),
         ("--workers", args.workers, 1),
-        ("--chaos-crashes", args.chaos_crashes, 0),
-        ("--chaos-hangs", args.chaos_hangs, 0),
-        ("--chaos-malformed", args.chaos_malformed, 0),
         ("--backends", args.backends, 2),
         ("--replication", args.replication, 1),
     ):
@@ -773,24 +602,17 @@ def loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
         schedule=args.schedule,
         deadline_ms=args.deadline_ms,
         retries=args.retries,
-        chaos=args.chaos,
-        chaos_crashes=args.chaos_crashes,
-        chaos_hangs=args.chaos_hangs,
-        chaos_malformed=args.chaos_malformed,
         stream=sys.stdout,
     )
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-    clean = report.mismatches == 0 and report.unanswered == 0
-    if args.chaos:
-        # Typed errors are *expected* under chaos; what must hold is
-        # exactly-one-typed-answer (client side: zero unanswered) and
-        # warm-path determinism.
-        clean = clean and report.chaos.get("unanswered", 1) == 0
-    else:
-        clean = clean and report.errors == 0
+    clean = (
+        report.mismatches == 0
+        and report.unanswered == 0
+        and report.errors == 0
+    )
     return 0 if clean else 1
 
 

@@ -20,7 +20,7 @@ hold open for many requests.  Operations:
 ``{"op": "stats"}``
     Cache counters, the server-lifetime per-stage telemetry aggregate
     (:class:`~repro.resilience.telemetry.MetricsCollector`), the
-    service health state (``healthy`` / ``degraded`` / ``draining``),
+    service health state (``healthy`` / ``draining``),
     and the supervisor's per-worker restart/kill/crash accounting.
 ``{"op": "ping"}``
     Liveness.
@@ -65,9 +65,8 @@ child **process** (:mod:`repro.service.workers`): a per-job wall-clock
 watchdog SIGKILLs a hung worker and answers the job with a typed
 ``worker-timeout`` error, a crashed worker (nonzero exit, killed by the
 OS) answers its job with ``worker-crash`` and is respawned under
-exponential backoff, and a restart storm flips the service ``degraded``
-(reported in ``stats``; a compile key that keeps killing workers is
-quarantined as a poison pill) instead of crash-looping.  The
+exponential backoff, and a compile key that keeps killing workers is
+quarantined as a poison pill instead of crash-looping the pool.  The
 workers sit behind the admission queue and artifact cache, and every
 admitted request is answered exactly once.
 
@@ -226,7 +225,6 @@ class PreparedJob:
     entry: str
     max_cycles: Optional[int]
     filename: str
-    chaos: Optional[str]
     started: float
 
     def spec(self) -> Dict[str, Any]:
@@ -240,7 +238,6 @@ class PreparedJob:
             "entry": self.entry,
             "max_cycles": self.max_cycles,
             "filename": self.filename,
-            "chaos": self.chaos,
         }
 
 
@@ -301,10 +298,8 @@ class CompileService:
     and drain tests in ``tests/service/test_server.py`` fill the queue
     with it, and ``tests/service/test_router.py`` holds a backend busy
     with it.  ``supervision`` tunes the workers'
-    watchdog/backoff/circuit-breaker parameters
-    (:class:`repro.service.workers.Supervision`); ``chaos_enabled``
-    makes worker processes honor the ``chaos`` request field
-    (deliberate crash/hang probes — never enable outside a chaos run).
+    watchdog/backoff/quarantine parameters
+    (:class:`repro.service.workers.Supervision`).
     """
 
     def __init__(
@@ -314,7 +309,6 @@ class CompileService:
         queue_limit: int = defaults.QUEUE_LIMIT,
         worker_delay_s: float = 0.0,
         supervision: Optional["Supervision"] = None,
-        chaos_enabled: bool = False,
     ):
         if workers is None:
             workers = defaults.usable_cpus()
@@ -328,7 +322,6 @@ class CompileService:
         self.cache = cache if cache is not None else ArtifactCache()
         self.queue = DeadlineQueue(queue_limit)
         self.worker_delay_s = worker_delay_s
-        self.chaos_enabled = chaos_enabled
         if supervision is None:
             from .workers import Supervision
 
@@ -368,7 +361,6 @@ class CompileService:
             self,
             workers=self._workers,
             supervision=self.supervision,
-            chaos_enabled=self.chaos_enabled,
         )
         self._supervisor.start()
 
@@ -396,17 +388,11 @@ class CompileService:
 
     @property
     def health(self) -> str:
-        """``healthy`` / ``degraded`` / ``draining``.
-
-        ``degraded`` is the supervisor's restart-storm circuit breaker:
-        too many worker deaths inside the storm window.  It clears
-        itself once the window passes without a new death — the
-        "backoff recovery" the chaos harness asserts.
-        """
+        """``healthy``, or ``draining`` once :meth:`drain` has begun.
+        Worker deaths show in the ``supervisor`` counters of ``stats``,
+        not here."""
         if self._draining.is_set():
             return "draining"
-        if self._supervisor is not None and self._supervisor.degraded:
-            return "degraded"
         return "healthy"
 
     # -- poison-pill quarantine -----------------------------------------------
@@ -707,7 +693,6 @@ class CompileService:
             entry=entry_name,
             max_cycles=max_cycles,
             filename=request.get("filename", "<request>"),
-            chaos=request.get("chaos"),
             started=started,
         )
 
@@ -814,8 +799,7 @@ def _refused_put(key: str, message: str) -> Dict[str, Any]:
 _COMPILE_FIELDS = frozenset(
     {
         "op", "source", "allocator", "k", "schedule", "execute", "entry",
-        "filename", "max_cycles", "deadline_ms", "chaos", "warm_only",
-        "probed",
+        "filename", "max_cycles", "deadline_ms", "warm_only", "probed",
     }
 )
 
@@ -823,8 +807,8 @@ _COMPILE_FIELDS = frozenset(
 def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     """Why a compile request must be refused before admission, or
     ``None`` when every field it carries is known and has the right
-    type and range.  ``filename``, ``max_cycles``, ``deadline_ms`` and
-    ``chaos`` may be absent or null.  ``type(x) is int`` refuses bools,
+    type and range.  ``filename``, ``max_cycles`` and ``deadline_ms``
+    may be absent or null.  ``type(x) is int`` refuses bools,
     which ``isinstance`` would let through."""
     for name in request:
         if name not in _COMPILE_FIELDS:
@@ -854,9 +838,6 @@ def _invalid_compile_field(request: Dict[str, Any]) -> Optional[str]:
     deadline_ms = request.get("deadline_ms")
     if deadline_ms is not None and not _finite_number(deadline_ms):
         return f"deadline_ms must be a finite number, got {deadline_ms!r}"
-    chaos = request.get("chaos")
-    if chaos is not None and chaos not in ("crash", "hang"):
-        return f"chaos must be null, 'crash' or 'hang', got {chaos!r}"
     probed = request.get("probed")
     if "probed" in request and (not isinstance(probed, str) or not probed):
         return f"probed must be a non-empty string, got {probed!r}"
@@ -922,16 +903,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
              f"{defaults.JOB_TIMEOUT_S:.0f})",
     )
     parser.add_argument(
-        "--storm-window", type=float, default=None, metavar="SECONDS",
-        help="restart-storm circuit-breaker window (default: "
-             f"{defaults.STORM_WINDOW_S:.0f})",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="honor per-request chaos crash/hang probes (chaos "
-             "harness and CI only — never in production)",
-    )
-    parser.add_argument(
         "--cache-bytes", type=int, default=None, metavar="N",
         help="in-memory artifact budget (default: "
              f"{defaults.CACHE_BYTES // (1024 * 1024)} MiB)",
@@ -957,12 +928,6 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(
             f"--job-timeout must be finite and positive, got {args.job_timeout}"
         )
-    if args.storm_window is not None and not (
-        math.isfinite(args.storm_window) and args.storm_window > 0
-    ):
-        parser.error(
-            f"--storm-window must be finite and positive, got {args.storm_window}"
-        )
     if args.cache_bytes is not None and args.cache_bytes < 0:
         parser.error(f"--cache-bytes must be >= 0, got {args.cache_bytes}")
 
@@ -973,22 +938,16 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         cache_kwargs["persist_dir"] = args.persist_dir
     from .workers import Supervision
 
-    supervision = Supervision(
-        **{
-            name: value
-            for name, value in (
-                ("job_timeout_s", args.job_timeout),
-                ("storm_window_s", args.storm_window),
-            )
-            if value is not None
-        }
+    supervision = (
+        Supervision()
+        if args.job_timeout is None
+        else Supervision(job_timeout_s=args.job_timeout)
     )
     service = CompileService(
         cache=ArtifactCache(**cache_kwargs),
         workers=args.workers,
         queue_limit=args.queue_limit,
         supervision=supervision,
-        chaos_enabled=args.chaos,
     )
     server = CompileServer((args.host, args.port), service)
     host, port = server.server_address[:2]
@@ -996,8 +955,7 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         server,
         f"repro service listening on {host}:{port} "
         f"({service._workers} {args.worker_mode} workers, "
-        f"queue {args.queue_limit}"
-        f"{', CHAOS ENABLED' if args.chaos else ''})",
+        f"queue {args.queue_limit})",
     )
 
 

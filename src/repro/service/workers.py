@@ -3,10 +3,10 @@
 :class:`ProcessWorkerSupervisor` runs each compile worker as a child
 **process**, which buys two things in-process compiling cannot provide:
 
-* **crash isolation** — an allocator bug, an OOM kill, or a deliberate
-  chaos probe takes down one child, not the daemon.  The job that was
-  running is answered with a typed ``worker-crash`` error and the child
-  is respawned under exponential backoff;
+* **crash isolation** — an allocator bug or an OOM kill takes down one
+  child, not the daemon.  The job that was running is answered with a
+  typed ``worker-crash`` error and the child is respawned under
+  exponential backoff;
 * **hang containment** — a per-job wall-clock watchdog SIGKILLs a child
   that exceeds ``Supervision.job_timeout_s`` and answers the job with a
   typed ``worker-timeout`` error, so a wedged compile costs one watchdog
@@ -29,11 +29,6 @@ Supervision policy (:class:`Supervision`):
 * **respawn backoff** — consecutive deaths of one slot back off
   exponentially (``backoff_base_s`` doubling up to ``backoff_cap_s``),
   so a crash-looping worker cannot burn the host;
-* **restart-storm circuit breaker** — ``storm_threshold`` deaths across
-  the pool within ``storm_window_s`` flip the service ``degraded`` in
-  ``stats`` until the window passes quietly (health recovers to
-  ``healthy`` by itself); work keeps running on the allocator each
-  request asked for;
 * **poison-pill quarantine** — a compile key that kills or hangs
   workers ``poison_threshold`` times is quarantined: further requests
   for it are answered immediately with a ``poison-pill`` error and
@@ -41,17 +36,10 @@ Supervision policy (:class:`Supervision`):
   assassinating the pool.
 
 Every admitted job is answered exactly once on every path — result,
-crash, watchdog kill, dispatcher bug — which is the invariant the chaos
-harness (``loadgen --chaos``) asserts end to end.
-
-Chaos probes: when the service was started with ``chaos_enabled`` (the
-``serve --chaos`` flag), a compile request may carry ``"chaos":
-"crash"`` (the child exits hard mid-job, modelling an OS kill) or
-``"chaos": "hang"`` (the child sleeps until the watchdog fires).  The
-flag exists for the chaos harness and CI only; without it the field is
-ignored and the request compiles normally.  Any other ``chaos`` value
-is refused before admission
-(:meth:`repro.service.server.CompileService.submit`).
+crash, watchdog kill, dispatcher bug.  The failure drills check it from
+outside the daemon: they SIGKILL (a crash) or SIGSTOP (a hang) the child
+whose ``stats`` record shows it compiling the drill's probe
+(``busy_key`` and ``pid`` in :meth:`_WorkerSlot.stats`).
 """
 
 from __future__ import annotations
@@ -63,9 +51,8 @@ import signal
 import stat
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..resilience.errors import StageError
 from ..resilience.telemetry import MetricsCollector
@@ -75,20 +62,12 @@ from .client import _error_payload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from .server import CompileService, PreparedJob
 
-#: Child exit code for the deliberate ``chaos: crash`` probe, distinct
-#: from real crashes so the accounting can tell them apart in logs.
-CHAOS_EXIT_CODE = 23
-
-#: How long a ``chaos: hang`` probe sleeps per nap while waiting for the
-#: watchdog to SIGKILL it (the loop never exits on its own).
-_HANG_NAP_S = 0.5
-
 
 @dataclass(frozen=True)
 class Supervision:
-    """Watchdog / backoff / circuit-breaker parameters for the process
+    """Watchdog / backoff / quarantine parameters for the process
     worker tier.  The defaults suit a production daemon; tests and the
-    chaos harness shrink them to keep runs fast."""
+    failure drills shrink them to keep runs fast."""
 
     #: Wall-clock budget for one job inside a child before the watchdog
     #: SIGKILLs it and answers ``worker-timeout``.
@@ -97,10 +76,6 @@ class Supervision:
     #: of the same slot, capped at ``backoff_cap_s``.
     backoff_base_s: float = defaults.BACKOFF_BASE_S
     backoff_cap_s: float = defaults.BACKOFF_CAP_S
-    #: ``storm_threshold`` deaths across the pool within
-    #: ``storm_window_s`` seconds flip the service ``degraded``.
-    storm_threshold: int = defaults.STORM_THRESHOLD
-    storm_window_s: float = defaults.STORM_WINDOW_S
     #: Watchdog kills / crashes attributed to one compile key before it
     #: is quarantined as a poison pill.
     poison_threshold: int = defaults.POISON_THRESHOLD
@@ -112,14 +87,6 @@ class Supervision:
             raise ValueError(
                 "job_timeout_s must be finite and positive, "
                 f"got {self.job_timeout_s}"
-            )
-        # NaN or inf never ages a death out of the window, so a tripped
-        # breaker stays tripped; zero or negative ages every death out
-        # at once, so it never trips.
-        if not (math.isfinite(self.storm_window_s) and self.storm_window_s > 0):
-            raise ValueError(
-                "storm_window_s must be finite and positive, "
-                f"got {self.storm_window_s}"
             )
 
 
@@ -159,7 +126,7 @@ def _close_inherited_sockets(keep: int) -> None:
             pass
 
 
-def _worker_child_main(conn, chaos_enabled: bool) -> None:
+def _worker_child_main(conn) -> None:
     """Child body: receive job specs, compile cold, send results.
 
     Runs until the parent sends ``None`` (graceful shutdown), the pipe
@@ -191,14 +158,6 @@ def _worker_child_main(conn, chaos_enabled: bool) -> None:
             return
         if spec is None:
             return
-
-        chaos = spec.get("chaos") if chaos_enabled else None
-        if chaos == "crash":
-            os._exit(CHAOS_EXIT_CODE)
-        if chaos == "hang":
-            while True:  # the watchdog ends this, nothing else does
-                time.sleep(_HANG_NAP_S)
-
         collector = MetricsCollector()
         pipeline.metrics = collector
         try:
@@ -284,7 +243,7 @@ class _WorkerSlot:
         parent_conn, child_conn = self.supervisor.ctx.Pipe(duplex=True)
         process = self.supervisor.ctx.Process(
             target=_worker_child_main,
-            args=(child_conn, service.chaos_enabled),
+            args=(child_conn,),
             name=f"compile-worker-proc-{self.index}",
             daemon=True,
         )
@@ -439,7 +398,6 @@ class _WorkerSlot:
         self._discard_child(kill=True)
         self.kills += 1
         self.consecutive_failures += 1
-        self.supervisor.record_failure("watchdog")
         service.note_strike(
             prepared.key, f"hung compile killed by watchdog after {timeout_s:g}s"
         )
@@ -466,7 +424,6 @@ class _WorkerSlot:
         self._discard_child()
         self.crashes += 1
         self.consecutive_failures += 1
-        self.supervisor.record_failure("crash")
         service.note_strike(
             prepared.key, f"worker died (exit {exitcode}) while compiling"
         )
@@ -484,6 +441,10 @@ class _WorkerSlot:
     # -- accounting ----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        # busy_key before process: the dispatcher sets the process
+        # first, so while a job runs, the pid read after its busy key
+        # is the child running it (the failure drills signal that pid).
+        busy_key = self.busy_key
         process = self.process
         return {
             "worker": self.index,
@@ -496,23 +457,21 @@ class _WorkerSlot:
             "jobs_done": self.jobs_done,
             "consecutive_failures": self.consecutive_failures,
             "last_backoff_s": self.last_backoff_s,
-            "busy_key": self.busy_key,
+            "busy_key": busy_key,
         }
 
 
 class ProcessWorkerSupervisor:
-    """Owns the worker slots and the pool-wide failure accounting."""
+    """Owns the worker slots and sums their accounting."""
 
     def __init__(
         self,
         service: "CompileService",
         workers: int,
         supervision: Supervision,
-        chaos_enabled: bool = False,
     ):
         self.service = service
         self.supervision = supervision
-        self.chaos_enabled = chaos_enabled
         # fork: cheap respawns that inherit the daemon's modules; a
         # child imports only the compile stack, once (about 0.1 s).  The
         # children only ever compute and talk to their pipe.  Falls back
@@ -524,9 +483,6 @@ class ProcessWorkerSupervisor:
         self._slots: List[_WorkerSlot] = [
             _WorkerSlot(self, index) for index in range(workers)
         ]
-        self._failures: Deque[float] = deque()
-        self._failure_kinds: Dict[str, int] = {}
-        self._failure_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -549,48 +505,16 @@ class ProcessWorkerSupervisor:
             if slot.process is not None:
                 slot._discard_child(kill=True)
 
-    # -- failure window ------------------------------------------------------
-
-    def record_failure(self, kind: str) -> None:
-        now = time.monotonic()
-        with self._failure_lock:
-            self._failures.append(now)
-            self._failure_kinds[kind] = self._failure_kinds.get(kind, 0) + 1
-            self._prune(now)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self.supervision.storm_window_s
-        while self._failures and self._failures[0] < horizon:
-            self._failures.popleft()
-
-    @property
-    def degraded(self) -> bool:
-        """True while the restart-storm circuit breaker is tripped:
-        ``storm_threshold`` worker deaths within ``storm_window_s``.
-        Self-clearing — old deaths age out of the window."""
-        with self._failure_lock:
-            self._prune(time.monotonic())
-            return len(self._failures) >= self.supervision.storm_threshold
-
     # -- accounting ----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        with self._failure_lock:
-            self._prune(time.monotonic())
-            recent = len(self._failures)
-            kinds = dict(self._failure_kinds)
         slots = [slot.stats() for slot in self._slots]
         return {
             "workers": slots,
             "watchdog_fires": sum(s["watchdog_kills"] for s in slots),
             "crashes": sum(s["crashes"] for s in slots),
             "restarts": sum(s["restarts"] for s in slots),
-            "recent_failures": recent,
-            "failure_kinds": kinds,
-            "storm_threshold": self.supervision.storm_threshold,
-            "storm_window_s": self.supervision.storm_window_s,
             "job_timeout_s": self.supervision.job_timeout_s,
-            "degraded": self.degraded,
         }
 
     def reaped(self) -> bool:

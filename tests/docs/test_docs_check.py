@@ -5,7 +5,8 @@ This is the doc-drift tripwire behind the CI ``docs-check`` step.  The
 known-flag universe is built from the *real* parsers — ``repro.cli``'s
 argparse tree (recursively, through its subcommands), the five service
 parser factories (``serve``/``router``/``request``/``loadgen``/
-``router-admin`` bypass argparse dispatch in the CLI), and the
+``router-admin`` bypass argparse dispatch in the CLI), the failure
+drill script's parser (``tests/service/chaos_drill.py``), and the
 ``--help`` text of the ``repro.bench`` entry points and of
 ``perfbench/run.py`` — so renaming or deleting a flag without sweeping
 the docs fails here, not in a user's terminal.
@@ -27,6 +28,7 @@ from repro.service.client import build_request_parser
 from repro.service.loadgen import build_loadgen_parser
 from repro.service.router import build_router_parser
 from repro.service.server import build_serve_parser
+from tests.service.chaos_drill import build_drill_parser
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -70,6 +72,7 @@ def known_flags():
         build_request_parser,
         build_loadgen_parser,
         build_admin_parser,
+        build_drill_parser,
     ):
         flags |= _parser_flags(factory())
     for entry in (table1.main, sweep.main, ablations.main, perfbench_run.main):

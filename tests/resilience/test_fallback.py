@@ -94,7 +94,6 @@ def _via_compile_cold(allocator, k):
         "entry": "main",
         "max_cycles": BENCH.max_cycles,
         "filename": BENCH.filename,
-        "chaos": None,
     }
     body = compile_cold(PassPipeline(), spec)
     events = [(e["allocator"], e["stage"]) for e in body["fallbacks"]]

@@ -1,9 +1,9 @@
-"""The chaos harness end to end: worker kills, hangs, and malformed
-requests against a live daemon, with the exactly-one-typed-answer
-invariant, warm-path determinism across churn, health recovery, and
-SIGTERM drain through the real CLI."""
+"""The failure drill end to end: worker SIGKILLs, SIGSTOPs, and
+malformed requests against a live daemon while loadgen runs beside it,
+with the exactly-one-typed-answer invariant, warm-path determinism
+across churn, the supervisor's counters, and SIGTERM drain through the
+real CLI."""
 
-import json
 import os
 import signal
 import socket
@@ -12,13 +12,11 @@ import sys
 import threading
 import time
 
-import pytest
-
-from repro.service.cache import ArtifactCache
 from repro.service.client import ServiceError, connect_with_retry
 from repro.service.loadgen import default_mix, run_loadgen
 from repro.service.server import CompileServer, CompileService
 from repro.service.workers import Supervision
+from tests.service.chaos_drill import run_drill
 
 #: Bench programs only — the corpus would make chaos runs slow.
 MIX = default_mix(("sieve", "hanoi"), corpus=False)
@@ -29,6 +27,21 @@ def start_server(service):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, server.server_address[1]
+
+
+def loadgen_beside_drill(port, loadgen, drill):
+    """Run loadgen on a thread while the drill probes the same daemon;
+    return (loadgen report, drill report)."""
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(run_loadgen(port=port, **loadgen)),
+        daemon=True,
+    )
+    thread.start()
+    probes = run_drill(port=port, **drill)
+    thread.join(timeout=120)
+    assert reports, "loadgen never finished"
+    return reports[0], probes
 
 
 class TestChaosLoadgen:
@@ -46,47 +59,35 @@ class TestChaosLoadgen:
             server.server_close()
         assert reference.errors == 0 and reference.mismatches == 0
 
-        # Chaos: a tight watchdog, probes interleaved.
+        # The drill: a tight watchdog, probes beside the normal mix.
         supervision = Supervision(
             job_timeout_s=1.5,
             backoff_base_s=0.01,
             backoff_cap_s=0.1,
-            storm_threshold=4,
-            storm_window_s=2.0,
             poison_threshold=10,  # strikes ride unique keys anyway
         )
-        service = CompileService(
-            workers=2,
-            supervision=supervision,
-            chaos_enabled=True,
-        )
+        service = CompileService(workers=2, supervision=supervision)
         server, port = start_server(service)
         try:
-            report = run_loadgen(
-                port=port,
-                requests=8,
-                workers=2,
-                mix=MIX,
-                allocator="rap",
-                retries=4,
-                chaos=True,
-                chaos_crashes=2,
-                chaos_hangs=1,
-                chaos_malformed=2,
+            report, probes = loadgen_beside_drill(
+                port,
+                dict(requests=8, workers=2, mix=MIX, allocator="rap",
+                     retries=4),
+                dict(crashes=2, hangs=1, malformed=2, allocator="rap"),
             )
             # The invariant: every request — normal or probe — got
             # exactly one typed answer; nothing fell on the floor.
             assert report.unanswered == 0
-            assert report.chaos["unanswered"] == 0
-            assert report.chaos["probes"] == 5
-            kinds = report.chaos["answer_kinds"]
-            assert kinds.get("worker-crash", 0) >= 1
-            assert kinds.get("worker-timeout", 0) >= 1
+            assert probes["unanswered"] == 0
+            assert probes["probes"] == 5
+            kinds = probes["answer_kinds"]
+            assert kinds.get("worker-crash", 0) == 2
+            assert kinds.get("worker-timeout", 0) == 1
             assert kinds.get("request", 0) == 2  # both malformed probes
             # The hang probe was answered by the watchdog, nowhere near
             # the client's socket timeout.
-            assert report.chaos["hang_latency_ms"]
-            assert max(report.chaos["hang_latency_ms"]) < 1_500 + 5_000
+            assert probes["hang_latency_ms"]
+            assert max(probes["hang_latency_ms"]) < 1_500 + 5_000
             # Warm-path determinism survived the churn: zero
             # disagreements within the run, byte-identical artifacts
             # against the chaos-free reference.
@@ -97,19 +98,21 @@ class TestChaosLoadgen:
                 assert report.artifacts[key] == reference.artifacts[key]
             # With retries armed, the normal mix rode out the churn.
             assert report.ok == report.requests
-            # Server-side conservation of every admitted request.
+            # Respawned workers serve a clean pass after the drill.
+            after = run_loadgen(
+                port=port, requests=8, workers=2, mix=MIX, allocator="rap"
+            )
+            assert after.errors == 0 and after.unanswered == 0
+            # The supervisor counted the real deaths, and every
+            # admitted request was answered, cancelled or rejected.
             with connect_with_retry("127.0.0.1", port, retries=3) as client:
                 stats = client.stats()
+            assert stats["supervisor"]["crashes"] >= 1
+            assert stats["supervisor"]["watchdog_fires"] >= 1
             assert (
                 stats["requests"]
                 == stats["answered"] + stats["cancelled"] + stats["rejected"]
             )
-            # Backoff recovery: once the storm window passes without a
-            # new death, the service reports healthy again.
-            deadline = time.monotonic() + 6.0
-            while service.health != "healthy" and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert service.health == "healthy"
         finally:
             server.drain_and_shutdown(timeout=10.0)
             server.server_close()
@@ -120,26 +123,19 @@ class TestChaosLoadgen:
             supervision=Supervision(
                 job_timeout_s=1.5,
                 backoff_base_s=0.01,
-                storm_threshold=10,
                 poison_threshold=2,
             ),
-            chaos_enabled=True,
         )
         server, port = start_server(service)
         try:
-            report = run_loadgen(
-                port=port,
-                requests=4,
-                workers=1,
-                mix=MIX,
-                allocator="linearscan",
-                retries=3,
-                chaos=True,
-                chaos_crashes=2,
-                chaos_hangs=0,
-                chaos_malformed=0,
+            report, probes = loadgen_beside_drill(
+                port,
+                dict(requests=4, workers=1, mix=MIX, allocator="linearscan",
+                     retries=3),
+                dict(crashes=2, hangs=0, malformed=0, allocator="linearscan"),
             )
             assert report.unanswered == 0
+            assert probes["answer_kinds"] == {"worker-crash": 2}
             # Dedicated probe sources: no normal-mix key was quarantined.
             with connect_with_retry("127.0.0.1", port, retries=3) as client:
                 stats = client.stats()
@@ -153,8 +149,8 @@ class TestChaosLoadgen:
 
 class TestSigtermDrain:
     def test_sigterm_mid_chaos_drains_cleanly(self, tmp_path):
-        """The real signal path: serve --chaos under SIGTERM mid-run
-        answers in-flight work, reaps its workers, and exits 0."""
+        """The real signal path: serve under SIGTERM mid-run answers
+        in-flight work, reaps its workers, and exits 0."""
         probe = socket.create_server(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
@@ -166,7 +162,6 @@ class TestSigtermDrain:
                 "--port", str(port),
                 "--workers", "1",
                 "--job-timeout", "2",
-                "--chaos",
                 "--queue-limit", "8",
             ],
             stdout=subprocess.PIPE,
@@ -187,8 +182,7 @@ class TestSigtermDrain:
                     source, allocator="linearscan", filename=name
                 )["ok"]
 
-                # Leave a crash probe's respawned worker running and a
-                # compile in flight when the signal lands.
+                # Leave a compile in flight when the signal lands.
                 def in_flight():
                     try:
                         answers.append(

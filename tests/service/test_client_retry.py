@@ -5,6 +5,7 @@ connection-establishment retry."""
 import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +267,34 @@ class TestConnectWithRetry:
         with pytest.raises(ServiceError) as info:
             connect_with_retry("127.0.0.1", port, retries=1, backoff=0.01)
         assert info.value.kind == "transport"
+
+
+class TestBackoffValidation:
+    """A negative or NaN backoff used to surface only after the first
+    failed attempt, as ``time.sleep``'s error; it is refused up front."""
+
+    BAD = [-1.0, float("nan"), float("inf")]
+
+    @pytest.mark.parametrize("backoff", BAD, ids=["negative", "nan", "inf"])
+    def test_client_refuses_before_connecting(self, backoff):
+        # Port 1 refuses connections: a ValueError proves the check ran
+        # before any connection attempt.
+        with pytest.raises(ValueError, match="backoff must be finite"):
+            ServiceClient("127.0.0.1", 1, backoff=backoff)
+        with pytest.raises(ValueError, match="backoff must be finite"):
+            connect_with_retry("127.0.0.1", 1, retries=2, backoff=backoff)
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_request_refuses_the_flag(self, value, capsys):
+        from repro.cli import main as cli_main
+
+        source = Path(__file__).resolve().parents[1] / "corpus" / "seed16.mc"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([
+                "request", str(source), "--port", "1",
+                "--retries", "2", "--backoff", value,
+            ])
+        assert exit_info.value.code == 2
+        assert "--backoff must be finite and non-negative" in (
+            capsys.readouterr().err
+        )

@@ -48,7 +48,6 @@ class TestServeParser:
     def test_help_text_numbers_match(self):
         text = build_serve_parser().format_help()
         assert f"default: {defaults.JOB_TIMEOUT_S:.0f}" in text
-        assert f"default: {defaults.STORM_WINDOW_S:.0f}" in text
         assert f"default: {defaults.CACHE_BYTES // (1024 * 1024)} MiB" in text
         assert defaults.WORKER_MODE in text
 
@@ -59,8 +58,6 @@ class TestSupervision:
         assert supervision.job_timeout_s == defaults.JOB_TIMEOUT_S
         assert supervision.backoff_base_s == defaults.BACKOFF_BASE_S
         assert supervision.backoff_cap_s == defaults.BACKOFF_CAP_S
-        assert supervision.storm_threshold == defaults.STORM_THRESHOLD
-        assert supervision.storm_window_s == defaults.STORM_WINDOW_S
         assert supervision.poison_threshold == defaults.POISON_THRESHOLD
 
 

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 #: The compile stack: what the router and the daemon must not import.
 COMPILER = (
@@ -38,28 +39,32 @@ COMPILER = (
 )
 
 FLEET = """
-import json, sys, threading
+import json, signal, sys, threading
 preloaded = "_hashlib" in sys.modules
 from repro.service.router import RouterService
 from repro.service.server import CompileServer, CompileService
 from repro.service.workers import Supervision
+from tests.service.chaos_drill import probe_request, signal_probe
 
 service = CompileService(
-    workers=1, chaos_enabled=True,
-    supervision=Supervision(backoff_base_s=0.01),
+    workers=1, supervision=Supervision(backoff_base_s=0.01),
 )
 server = CompileServer(("127.0.0.1", 0), service)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 router = RouterService([server.server_address[:2]])
 
-def compile(tag, **extra):
-    request = {"op": "compile", "allocator": "rap", "k": 5,
-               "source": "void main() { print(%d); }" % tag}
-    request.update(extra)
-    response = router.handle(request)
+def compile(tag):
+    response = router.handle({"op": "compile", "allocator": "rap", "k": 5,
+                              "source": "void main() { print(%d); }" % tag})
     return response.get("output") or response["error"]["kind"]
 
-answers = [compile(1), compile(2, chaos="crash"), compile(3)]
+def crash():
+    response = signal_probe(router.handle,
+                            lambda: service.submit({"op": "stats"}),
+                            probe_request("fleet"), signal.SIGKILL)
+    return response["error"]["kind"]
+
+answers = [compile(1), crash(), compile(3)]
 router.stop()
 server.drain_and_shutdown(timeout=10.0)
 server.server_close()
@@ -80,7 +85,7 @@ from repro.service.server import compile_cold
 body = compile_cold(PassPipeline(), {
     "source": "void main() { print(4); }", "rung": "rap", "k": 5,
     "schedule": False, "execute": True, "entry": "main",
-    "max_cycles": None, "filename": "<request>", "chaos": None,
+    "max_cycles": None, "filename": "<request>",
 })
 print(json.dumps({"output": body["output"], "preloaded": preloaded,
                   "modules": sorted(sys.modules)}))
@@ -88,7 +93,7 @@ print(json.dumps({"output": body["output"], "preloaded": preloaded,
 
 
 def _run(script):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(ROOT))))
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=env,

@@ -127,9 +127,11 @@ class TestLoadgenCLI:
             (["--requests", "0"], "--requests must be at least 1"),
             (["--requests", "-5"], "--requests must be at least 1"),
             (["--workers", "0"], "--workers must be at least 1"),
-            (["--chaos", "--chaos-crashes", "-1"], "--chaos-crashes must be"),
-            (["--chaos", "--chaos-hangs", "-1"], "--chaos-hangs must be"),
-            (["--chaos", "--chaos-malformed", "-2"], "--chaos-malformed must"),
+            # The failure drill runs beside loadgen, not inside it.
+            (["--chaos"], "unrecognized arguments: --chaos"),
+            (["--chaos-crashes", "3"], "unrecognized arguments: --chaos-"),
+            (["--chaos-hangs", "1", "--chaos-malformed", "2"],
+             "unrecognized arguments: --chaos-"),
             (["--rolling-restart", "--backends", "1"], "--backends must be"),
             (["--rolling-restart", "--replication", "0"], "--replication must"),
         ],

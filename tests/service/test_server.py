@@ -181,6 +181,7 @@ class TestColdAndWarm:
 #: (field, value) pairs a compile request must be refused for: ``k`` an
 #: int >= 3, ``allocator`` a ladder rung, ``schedule``/``execute``
 #: bools, ``entry`` a non-empty string, ``max_cycles`` an int >= 1.
+#: ``chaos`` is no field at all, whatever its value.
 MALFORMED_FIELDS = [
     ("k", 0),
     ("k", 2),
@@ -204,6 +205,8 @@ MALFORMED_FIELDS = [
     ("chaos", 5),
     ("chaos", ["crash"]),
     ("chaos", "explode"),
+    ("chaos", "crash"),
+    ("chaos", None),
     ("warm_only", 1),
     ("warm_only", "true"),
     ("probed", 5),
@@ -571,11 +574,9 @@ class TestTCPLayer:
 
 
 class TestServiceLimits:
-    """A queue with no slots refuses every compile as "queue full"; a
-    watchdog budget that is not finite and positive kills healthy jobs
-    and quarantines their keys as poison pills; and a storm window that
-    is not finite and positive keeps the restart-storm breaker tripped
-    for good or never trips it."""
+    """A queue with no slots refuses every compile as "queue full", and
+    a watchdog budget that is not finite and positive kills healthy jobs
+    and quarantines their keys as poison pills."""
 
     def test_service_rejects_empty_queue(self):
         with pytest.raises(ValueError, match="queue_limit must be at least 1"):
@@ -588,29 +589,18 @@ class TestServiceLimits:
         with pytest.raises(ValueError, match="finite and positive"):
             Supervision(job_timeout_s=timeout)
 
-    @pytest.mark.parametrize("window", [0, -1.0, float("nan"), float("inf")])
-    def test_supervision_rejects_bad_storm_window(self, window):
-        from repro.service.workers import Supervision
-
-        with pytest.raises(ValueError, match="storm_window_s must be finite"):
-            Supervision(storm_window_s=window)
-
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--queue-limit", "0", "--queue-limit must be at least 1"),
             ("--job-timeout", "0", "--job-timeout must be finite and positive"),
             ("--job-timeout", "nan", "--job-timeout must be finite and positive"),
-            ("--storm-window", "nan", "--storm-window must be finite and positive"),
-            ("--storm-window", "-1", "--storm-window must be finite and positive"),
             ("--cache-bytes", "-5", "--cache-bytes must be >= 0"),
         ],
         ids=[
             "queue-limit-0",
             "job-timeout-0",
             "job-timeout-nan",
-            "storm-window-nan",
-            "storm-window-negative",
             "cache-bytes-negative",
         ],
     )
